@@ -48,6 +48,11 @@ class BeamScenario:
     paraxial_threshold: float = 0.1
 
     def __post_init__(self):
+        for name in ("amplitude", "w0", "R", "L", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+        if not cmath.isfinite(self.r):
+            raise DomainError("r must be finite")
         for name in ("w0", "R", "L", "omega"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

@@ -25,7 +25,7 @@ import numpy as np
 from .background import BeamScenario
 from .correction import cone_geometry, correction_at, dimensionless_ratio
 from .errors import ConfigError, ConvergenceError, DomainError, UnsupportedGeometryError
-from .integrals import PhaseModel, eval_asymptotic, eval_numeric
+from .integrals import DEFAULT_MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric
 from .pressure import classical_force, pressure_report
 from .units import codata_constants
 
@@ -228,7 +228,7 @@ def validate_config(doc: dict) -> dict:
     """Strict validation; returns a normalized config with defaults filled."""
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
-    _check_keys(doc, ("scenario", "grid", "mode", "tol", "max_segments", "sweep"), "config")
+    _check_keys(doc, ("scenario", "grid", "mode", "tol", "max_nodes", "sweep"), "config")
     scenario = _validate_scenario(doc)
     mode = doc.get("mode", "asymptotic")
     if mode not in _MODES:
@@ -236,10 +236,10 @@ def validate_config(doc: dict) -> dict:
     tol = _get_float(doc, "tol", "config", default=1e-9)
     if not (1e-14 < tol < 1e-2):
         raise ConfigError("tol", "must lie in (1e-14, 1e-2)")
-    max_segments = doc.get("max_segments", 2_000_000)
-    if isinstance(max_segments, bool) or not isinstance(max_segments, int) or max_segments < 1:
-        raise ConfigError("max_segments", "must be a positive integer")
-    out = {"scenario": scenario, "mode": mode, "tol": tol, "max_segments": max_segments}
+    max_nodes = doc.get("max_nodes", DEFAULT_MAX_NODES)
+    if isinstance(max_nodes, bool) or not isinstance(max_nodes, int) or max_nodes < 2:
+        raise ConfigError("max_nodes", "must be an integer >= 2")
+    out = {"scenario": scenario, "mode": mode, "tol": tol, "max_nodes": max_nodes}
     grid = _validate_grid(doc, scenario["wavelength_m"])
     if grid is not None:
         out["grid"] = grid
@@ -343,7 +343,7 @@ def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
                         scenario,
                         mode=mode,
                         tol=config["tol"],
-                        max_segments=config["max_segments"],
+                        max_nodes=config["max_nodes"],
                     )
                 except ConvergenceError as exc:
                     converged = False
@@ -424,7 +424,7 @@ def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
                 results = []
                 if numeric:
                     try:
-                        results.append(eval_numeric(model, tol=config["tol"], max_segments=config["max_segments"]))
+                        results.append(eval_numeric(model, tol=config["tol"], max_nodes=config["max_nodes"]))
                     except ConvergenceError as exc:
                         converged = False
                         warn.append(f"non-convergence at rho={rho:.6g} m, z={z:.6g} m, sign={sign:+d}: {exc}")
@@ -500,7 +500,7 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
         )
         asym = eval_asymptotic(model)
         try:
-            num = eval_numeric(model, tol=config["tol"], max_segments=config["max_segments"])
+            num = eval_numeric(model, tol=config["tol"], max_nodes=config["max_nodes"])
         except ConvergenceError as exc:
             converged = False
             warn.append(f"non-convergence at k_rho={k_rho:.6g}: {exc}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .background import BeamScenario
 from .errors import DomainError
-from .integrals import PhaseModel, eval_asymptotic, eval_numeric
+from .integrals import DEFAULT_MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric
 from .sources import drive_constant
 
 
@@ -63,12 +63,12 @@ def correction_at(
     scenario: BeamScenario,
     mode: str = "asymptotic",
     tol: float = 1e-9,
-    max_segments: int = 2_000_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> CorrectionField:
     """Correction field (dEx, dBy) at (rho, z, t) in natural field units.
 
     ``mode`` selects the axial-integral evaluator; ``tol`` and
-    ``max_segments`` apply to the numeric one.  In asymptotic mode the result
+    ``max_nodes`` apply to the numeric one.  In asymptotic mode the result
     is exactly zero where both stationary points are out of support.
     """
     if rho <= 0:
@@ -78,8 +78,8 @@ def correction_at(
     plus = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=+1)
     minus = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=-1)
     if mode == "numeric":
-        res_p = eval_numeric(plus, tol=tol, max_segments=max_segments)
-        res_m = eval_numeric(minus, tol=tol, max_segments=max_segments)
+        res_p = eval_numeric(plus, tol=tol, max_nodes=max_nodes)
+        res_m = eval_numeric(minus, tol=tol, max_nodes=max_nodes)
     else:
         res_p = eval_asymptotic(plus)
         res_m = eval_asymptotic(minus)

@@ -15,16 +15,16 @@ and the integral is negligible otherwise.  ``eval_numeric`` computes the
 integral to a requested relative tolerance; ``eval_asymptotic`` returns the
 closed form, gated exactly by the stationary-point support.
 
-Numerical strategy: split [0, L] at the stationary point, partition each side
-into segments whose phase increment is at most pi (using the monotonicity of
-w' to bound the local rate by the endpoint values) and whose length does not
-exceed the local envelope scale s, apply a fixed Gauss-Legendre rule per
-segment with an embedded lower-order rule as error estimate, accumulate with
-compensated summation, and bisect segments that fail the two-rule test.
+Numerical strategy: numerical steepest descent in t = sgn(u - u0) sqrt(W - W0),
+u = z' - z, W = (+/-)u + 3 s, in which the phase is exactly k t^2 plus a
+constant and u(t) is explicit, so the stationary point is a regular point and
+the cost does not grow with k L (see ``eval_numeric``).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,10 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-_GL_HI = np.polynomial.legendre.leggauss(16)
-_GL_LO = np.polynomial.legendre.leggauss(8)
-_CHUNK = 131072  # segments per evaluation block
-_MAX_ROUNDS = 40
+_ROOT8 = math.sqrt(8.0)
 
 
 @dataclass(frozen=True)
@@ -50,6 +47,9 @@ class PhaseModel:
     sign: int
 
     def __post_init__(self):
+        finite = math.isfinite
+        if not (finite(self.rho) and finite(self.z) and finite(self.k) and finite(self.L)):
+            raise DomainError("rho, z, k and L must be finite")
         if self.rho <= 0:
             raise DomainError("rho must be positive (the integrand is axis-singular)")
         if self.k <= 0:
@@ -123,162 +123,161 @@ def eval_asymptotic(model: PhaseModel) -> IntegralResult:
     )
 
 
-# pi to extended precision; the anchor phases below wrap k*w ~ 1e5..1e9 rad,
-# so the modulus must be accurate well beyond double.
+# pi to extended precision; the endpoint phases k*w reach ~1e10 rad, so the
+# modulus must be accurate well beyond double.
 _TWO_PI_LD = 2.0 * np.longdouble("3.141592653589793238462643383279502884")
+_CUT_PHASE = 30.0  # k T^2 (rad) at the cuts t = +/-T of the real piece
+_FIRST_RULE = 16  # nodes per piece of the coarser rule in the first n/2n pair
+DEFAULT_MAX_NODES = 1024  # node budget per piece of eval_numeric, also the CLI default
+_EPS, _EPS_LD = float(np.finfo(float).eps), float(np.finfo(np.longdouble).eps)
 
 
-def _rule_values(
-    model: PhaseModel,
-    half: np.ndarray,
-    d_a: np.ndarray,
-    s_a: np.ndarray,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """One Gauss-Legendre rule per segment, phases relative to the anchor.
+@functools.lru_cache(maxsize=32)
+def _gauss_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre rule on [-1, 1] and Gauss-Laguerre rule for e^{-q}.
 
-    The phase difference to the segment midpoint is evaluated in the
-    cancellation-free form k*dx*(sign + 3 (d_x + d_a)/(s_x + s_a)), keeping
-    node phases O(pi) regardless of how many radians k*w has accumulated.
+    The Laguerre rule comes from the Golub-Welsch eigenproblem, which stays
+    finite at the large n where numpy's ``laggauss`` overflows.
     """
-    dx = half[:, None] * nodes[None, :]
-    d_x = d_a[:, None] + dx
-    s_x = np.hypot(model.rho, d_x)
-    bracket = model.sign + 3.0 * (d_x + d_a[:, None]) / (s_x + s_a[:, None])
-    vals = np.exp(1j * (model.k * dx * bracket)) / s_x
-    return (vals @ weights) * half
+    x, wx = np.polynomial.legendre.leggauss(n)
+    off = np.arange(1.0, n)
+    jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    q, vectors = np.linalg.eigh(jacobi)
+    return x, wx, q, vectors[0] ** 2
 
 
-def _allowed_length(model: PhaseModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # w' is strictly increasing, so the phase rate k|w'| peaks at an endpoint.
-    _, w1_lo, _ = phase_function(model, lo)
-    _, w1_hi, _ = phase_function(model, hi)
-    rate = model.k * np.maximum(np.abs(w1_lo), np.abs(w1_hi))
-    phase_cap = math.pi / np.maximum(rate, 1e-300)
-    s_lo = np.hypot(model.rho, model.z - lo)
-    s_hi = np.hypot(model.rho, model.z - hi)
-    envelope_cap = np.minimum(s_lo, s_hi)
-    straddles = (lo < model.z) & (model.z < hi)
-    envelope_cap = np.where(straddles, model.rho, envelope_cap)
-    return np.minimum(phase_cap, envelope_cap)
+def _unit_phase(phase) -> complex:
+    """e^{i phase} for an extended-precision phase, reduced mod 2 pi first."""
+    return cmath.exp(1j * float(np.mod(phase, _TWO_PI_LD)))
 
 
-def _build_segments(model: PhaseModel, max_segments: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Phase/envelope-bounded partition of [0, L]. Returns (lo, hi, exhausted)."""
-    pts = [0.0, model.L]
-    z0, inside = stationary_point(model)
-    if inside:
-        pts.append(z0)
-    if 0.0 < model.z < model.L:
-        pts.append(model.z)
-    pts = sorted(set(pts))
-    lo = np.asarray(pts[:-1], dtype=float)
-    hi = np.asarray(pts[1:], dtype=float)
-    done_lo, done_hi = [], []
-    n_done = 0
-    while lo.size:
-        ok = (hi - lo) <= _allowed_length(model, lo, hi)
-        done_lo.append(lo[ok])
-        done_hi.append(hi[ok])
-        n_done += int(np.count_nonzero(ok))
-        lo, hi = lo[~ok], hi[~ok]
-        if n_done + 2 * lo.size > max_segments:
-            done_lo.append(lo)
-            done_hi.append(hi)
-            return np.concatenate(done_lo), np.concatenate(done_hi), True
-        if lo.size:
-            mid = 0.5 * (lo + hi)
-            lo = np.concatenate([lo, mid])
-            hi = np.concatenate([mid, hi])
-    return np.concatenate(done_lo), np.concatenate(done_hi), False
+def _endpoint(model: PhaseModel, zp: float) -> tuple[float, float, complex]:
+    """(t^2, sign of t, e^{i k w(z')}) at the endpoint z' of the integral.
 
-
-def _integrate_segments(
-    model: PhaseModel, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment GL-16 values and |GL-16 - GL-8| error estimates.
-
-    The midpoint anchor phase k*w(mid) is computed in extended precision and
-    reduced mod 2 pi, so both the values and the two-rule error estimates stay
-    below the double-precision phase-roundoff floor of the naive evaluation.
+    t^2 = W - W0 is formed as 8 d^2 / (3 s + W0 - sign u), d = u - u0, which
+    has no cancellation however close the stationary point is.
     """
-    values = np.empty(lo.size, dtype=complex)
-    errors = np.empty(lo.size, dtype=float)
-    x_hi, w_hi = _GL_HI
-    x_lo, w_lo = _GL_LO
-    for start in range(0, lo.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, lo.size))
-        mid = 0.5 * (lo[sl] + hi[sl])
-        half = 0.5 * (hi[sl] - lo[sl])
-        d_ld = mid.astype(np.longdouble) - np.longdouble(model.z)
-        s_ld = np.sqrt(np.longdouble(model.rho) ** 2 + d_ld * d_ld)
-        w_ld = np.longdouble(model.sign) * mid.astype(np.longdouble) + 3.0 * s_ld
-        anchor = np.exp(1j * np.mod(np.longdouble(model.k) * w_ld, _TWO_PI_LD).astype(float))
-        d_a = d_ld.astype(float)
-        s_a = s_ld.astype(float)
-        v_hi = _rule_values(model, half, d_a, s_a, x_hi, w_hi)
-        v_lo = _rule_values(model, half, d_a, s_a, x_lo, w_lo)
-        values[sl] = v_hi * anchor
-        errors[sl] = np.abs(v_hi - v_lo)
-    return values, errors
+    u = zp - model.z
+    s = math.hypot(model.rho, u)
+    d = u + model.sign * model.rho / _ROOT8
+    t2 = 8.0 * d * d / (3.0 * s + _ROOT8 * model.rho - model.sign * u)
+    u_ld = np.longdouble(zp) - np.longdouble(model.z)
+    w = model.sign * np.longdouble(zp) + 3.0 * np.sqrt(np.longdouble(model.rho) ** 2 + u_ld * u_ld)
+    return t2, math.copysign(1.0, d), _unit_phase(np.longdouble(model.k) * w)
 
 
-def _compensated_total(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+def _pieces(model: PhaseModel) -> tuple[Optional[tuple], list[tuple]]:
+    """The t-integral as a real piece and signed steepest-descent paths.
+
+    ``real`` is ``(lo, hi, factor)`` (None if [t_a, t_b] lies beyond T on one
+    side) and each path is ``(tau^2, sign of tau, factor)``; ``factor`` is the
+    piece's sign times the reduced phase e^{i k w} at its start.
+    """
+    t2_a, sign_a, phase_a = _endpoint(model, 0.0)
+    t2_b, sign_b, phase_b = _endpoint(model, model.L)
+    cut2 = _CUT_PHASE / model.k
+    if t2_a > cut2 and t2_b > cut2 and sign_a == sign_b:
+        return None, [(t2_a, sign_a, phase_a), (t2_b, sign_b, -phase_b)]
+    w_min = model.sign * np.longdouble(model.z) + np.sqrt(np.longdouble(8)) * model.rho
+    centre = _unit_phase(np.longdouble(model.k) * w_min)
+    cut = centre * cmath.exp(1j * _CUT_PHASE)
+    lo, hi = sign_a * math.sqrt(t2_a), sign_b * math.sqrt(t2_b)
+    paths = []
+    if t2_a > cut2:
+        lo = -math.sqrt(cut2)
+        paths += [(t2_a, -1.0, phase_a), (cut2, -1.0, -cut)]
+    if t2_b > cut2:
+        hi = math.sqrt(cut2)
+        paths += [(cut2, 1.0, cut), (t2_b, 1.0, -phase_b)]
+    return (lo, hi, centre), paths
 
 
-def eval_numeric(
-    model: PhaseModel,
-    tol: float = 1e-9,
-    max_segments: int = 2_000_000,
-) -> IntegralResult:
-    """Adaptive phase-partitioned quadrature of the axial integral.
+def _amplitude(model: PhaseModel, t: np.ndarray) -> np.ndarray:
+    """h(t) = (du/dt) / s, the integrand without e^{i k t^2}; analytic at t = 0.
 
-    ``tol`` is the requested relative tolerance of the complex value; the
-    a-posteriori ``error_estimate`` is the summed two-rule segment estimate
-    (absolute).  Raises :class:`ConvergenceError` carrying the best value if
-    the segment budget or the refinement rounds are exhausted.
+    The principal square root is the right branch wherever Re(t^2) >= 0,
+    which holds on the real axis and on every descent path.
+    """
+    w0 = _ROOT8 * model.rho
+    t2 = t * t
+    root = np.sqrt(t2 + 2.0 * w0)
+    u = (3.0 * t * root - model.sign * (w0 + t2)) / 8.0
+    s = (w0 + t2 - model.sign * u) / 3.0
+    du = (3.0 * (t2 + w0) / root - model.sign * t) / 4.0
+    return du / s
+
+
+def _quadrature(model: PhaseModel, real, paths, n: int) -> tuple[complex, float, float]:
+    """(sum, sum of |terms|, sum of |pieces|) of all pieces with n nodes each.
+
+    A path from tau is t(p) = sgn(tau) sqrt(tau^2 + i p), on which
+    e^{i k t^2} = e^{i k tau^2} e^{-k p}: Gauss-Laguerre in q = k p.
+    """
+    x, wx, q, wq = _gauss_rules(n)
+    nodes, coefs = [], []
+    if real is not None:
+        lo, hi, factor = real
+        half = 0.5 * (hi - lo)
+        t = 0.5 * (lo + hi) + half * x
+        nodes.append(t.astype(complex))
+        coefs.append(factor * half * wx * np.exp(1j * (model.k * t * t)))
+    for tau2, sign, factor in paths:
+        t = sign * np.sqrt(tau2 + 1j * q / model.k)
+        nodes.append(t)
+        coefs.append(factor * wq * 0.5j / (model.k * t))  # dt = i dq / (2 k t)
+    terms = np.concatenate(coefs) * _amplitude(model, np.concatenate(nodes))
+    pieces = terms.reshape(-1, n).sum(axis=1)
+    return complex(pieces.sum()), float(np.abs(terms).sum()), float(np.abs(pieces).sum())
+
+
+def eval_numeric(model: PhaseModel, tol: float = 1e-9, max_nodes: int = DEFAULT_MAX_NODES) -> IntegralResult:
+    """Numerical steepest-descent quadrature of the axial integral.
+
+    In t = sgn(u - u0) sqrt(W - W0), with u = z' - z, W = sign u + 3 s and the
+    stationary point u0 = -sign rho/sqrt(8), W0 = sqrt(8) rho, the integral is
+
+        e^{i k (sign z + W0)} * integral_{t_a}^{t_b} e^{i k t^2} h(t) dt,
+
+    with h = (du/dt)/s analytic through the stationary point t = 0 and u(t)
+    explicit.  [t_a, t_b] is cut at +/-T, k T^2 = 30 rad: Gauss-Legendre on
+    the part within [-T, T], Gauss-Laguerre on the steepest-descent paths
+    from each endpoint and cut beyond T.  The cost does not grow with k L.
+
+    Each piece gets n nodes, and n doubles from 16 until the a-posteriori
+    ``error_estimate`` (absolute) meets ``tol`` relative to the value; the 2n
+    value is returned.  The estimate is |I_2n - I_n| plus two rounding
+    floors: 50 eps times the sum of the terms' moduli (QUADPACK's floor), and
+    the extended-precision rounding of the phases k*w times the sum of the
+    pieces' moduli.  Raises :class:`ConvergenceError` carrying the best value
+    when 2n would exceed ``max_nodes``.
     """
     if not (1e-14 < tol < 1e-2):
         raise DomainError("tol must lie in (1e-14, 1e-2)")
+    if max_nodes < 2:
+        raise DomainError("max_nodes must be at least 2")
     z0, inside = stationary_point(model)
     if model.L == 0.0:
         return IntegralResult(0.0 + 0.0j, "numeric", 0.0, z0, inside)
 
-    lo, hi, exhausted = _build_segments(model, max_segments)
-    values, errors = _integrate_segments(model, lo, hi)
-    total = _compensated_total(values)
-    err_total = math.fsum(errors)
-    if exhausted:
-        raise ConvergenceError(
-            f"segment budget {max_segments} exhausted while partitioning",
-            best_value=total,
-            error_estimate=err_total,
-        )
-
-    for _ in range(_MAX_ROUNDS):
-        target = tol * abs(total) if abs(total) > 0 else tol
-        if err_total <= target:
-            return IntegralResult(total, "numeric", err_total, z0, inside)
-        bad = errors > target / max(lo.size, 1)
-        if not bad.any():
-            bad = errors == errors.max()
-        if lo.size + int(np.count_nonzero(bad)) > max_segments:
-            break
-        mid = 0.5 * (lo[bad] + hi[bad])
-        ref_lo = np.concatenate([lo[bad], mid])
-        ref_hi = np.concatenate([mid, hi[bad]])
-        ref_values, ref_errors = _integrate_segments(model, ref_lo, ref_hi)
-        lo = np.concatenate([lo[~bad], ref_lo])
-        hi = np.concatenate([hi[~bad], ref_hi])
-        values = np.concatenate([values[~bad], ref_values])
-        errors = np.concatenate([errors[~bad], ref_errors])
-        total = _compensated_total(values)
-        err_total = math.fsum(errors)
-
-    raise ConvergenceError(
-        f"relative tolerance {tol} not reached (estimate {err_total:.3e})",
-        best_value=total,
-        error_estimate=err_total,
-    )
+    real, paths = _pieces(model)
+    # |w| peaks at an endpoint; each extended-precision k*w carries ~4 roundings
+    w_end = model.sign * model.L + 3.0 * math.hypot(model.rho, model.L - model.z)
+    phase_rounding = 2.0 * _EPS_LD * model.k * max(3.0 * math.hypot(model.rho, model.z), abs(w_end))
+    n = min(_FIRST_RULE, max_nodes // 2)
+    coarse = _quadrature(model, real, paths, n)[0]
+    while True:
+        value, terms_total, pieces_total = _quadrature(model, real, paths, 2 * n)
+        floor = 50.0 * _EPS * terms_total + phase_rounding * pieces_total
+        estimate = abs(value - coarse) + floor
+        if estimate <= tol * abs(value):
+            return IntegralResult(value, "numeric", estimate, z0, inside)
+        n *= 2
+        # more nodes cannot help once the rules agree to within the rounding floor
+        if 2 * n > max_nodes or abs(value - coarse) < floor:
+            raise ConvergenceError(
+                f"relative tolerance {tol} not reached with {n} nodes per piece "
+                f"(estimate {estimate:.3e}, rounding floor {floor:.3e})",
+                best_value=value,
+                error_estimate=estimate,
+            )
+        coarse = value

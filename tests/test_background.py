@@ -123,6 +123,30 @@ def test_scenario_rejects_nonpositive(constants, natural_units, field, value):
         _scenario(constants, natural_units, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("amplitude", math.inf),
+        ("w0", math.nan),
+        ("R", math.inf),
+        ("L", math.nan),
+        ("omega", math.inf),
+        ("r", complex(math.nan, 0.0)),
+    ],
+)
+def test_scenario_rejects_non_finite(constants, natural_units, field, value):
+    with pytest.raises(DomainError):
+        _scenario(constants, natural_units, **{field: value})
+
+
+@pytest.mark.parametrize("override", [dict(w0_m=math.nan), dict(power_w=math.inf), dict(L_m=math.inf)])
+def test_from_si_rejects_non_finite(override):
+    kwargs = dict(power_w=750e3, wavelength_m=1e-6, w0_m=0.1, R_m=0.1, L_m=4000.0)
+    kwargs.update(override)
+    with pytest.raises(DomainError):
+        BeamScenario.from_si(**kwargs)
+
+
 def test_scenario_rejects_overunity_reflection(constants, natural_units):
     with pytest.raises(DomainError):
         _scenario(constants, natural_units, r=1.0 + 0.1j)

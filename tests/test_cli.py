@@ -82,6 +82,7 @@ def test_field_rerun_from_echoed_config(tmp_path):
         lambda doc: doc["grid"].update(rho_count=0),
         lambda doc: doc.update(mode="sideways"),
         lambda doc: doc.update(tol=0.5),
+        lambda doc: doc.update(max_nodes=0),
     ],
 )
 def test_invalid_config_exits_2_without_outputs(tmp_path, mutate):
@@ -134,7 +135,7 @@ def test_integrals_subcommand(tmp_path):
 def test_field_non_convergence_exits_3(tmp_path):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["mode"] = "numeric"
-    doc["max_segments"] = 4
+    doc["max_nodes"] = 4  # below the first n/2n pair of 16/32 nodes
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["field", "--config", str(cfg), "--out", str(out)]) == 3
@@ -146,7 +147,7 @@ def test_field_non_convergence_exits_3(tmp_path):
 def test_integrals_non_convergence_exits_3(tmp_path):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["mode"] = "numeric"
-    doc["max_segments"] = 4
+    doc["max_nodes"] = 4  # below the first n/2n pair of 16/32 nodes
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["integrals", "--config", str(cfg), "--out", str(out)]) == 3

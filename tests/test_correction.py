@@ -57,6 +57,13 @@ def test_correction_rejects_bad_inputs(toy_scenario):
         correction_at(1.0, 1.0, 0.0, toy_scenario, mode="exact")
 
 
+@pytest.mark.parametrize("rho,z", [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)])
+@pytest.mark.parametrize("mode", ["asymptotic", "numeric"])
+def test_correction_rejects_non_finite(toy_scenario, rho, z, mode):
+    with pytest.raises(DomainError):
+        correction_at(rho, z, 0.0, toy_scenario, mode=mode)
+
+
 def test_correction_zero_outside_both_supports(constants, natural_units):
     # rho large against L puts both stationary points out of support
     sc = _scenario(constants, natural_units, L=1000.0, omega=1.0, w0=2000.0, R=4000.0)

@@ -68,6 +68,10 @@ def test_stationary_point_support(sign, z, expect):
         dict(rho=1.0, z=1.0, k=0.0, L=1.0, sign=1),
         dict(rho=1.0, z=1.0, k=1.0, L=-1.0, sign=1),
         dict(rho=1.0, z=1.0, k=1.0, L=1.0, sign=2),
+        dict(rho=math.nan, z=1.0, k=1.0, L=1.0, sign=1),
+        dict(rho=1.0, z=math.inf, k=1.0, L=1.0, sign=1),
+        dict(rho=1.0, z=1.0, k=math.inf, L=1.0, sign=1),
+        dict(rho=1.0, z=1.0, k=1.0, L=math.nan, sign=1),
     ],
 )
 def test_phase_model_validation(kwargs):
@@ -127,6 +131,80 @@ def test_numeric_mid_frequency_vs_quad(sign):
         + 1j * quad(f, 0.0, L, args=("im",), epsabs=1e-13, epsrel=1e-12, limit=500)[0]
     )
     np.testing.assert_allclose(res.value, oracle, rtol=1e-9, atol=1e-13)
+
+
+_TWO_PI_LD = 2.0 * np.longdouble("3.141592653589793238462643383279502884")
+_GL24 = np.polynomial.legendre.leggauss(24)
+
+
+def _quad_reference(rho, z, k, L, sign):
+    """Plain adaptive quadrature in z' with the phase rounded in double."""
+
+    def f(zp):
+        s = math.hypot(rho, z - zp)
+        return cmath.exp(1j * k * (sign * zp + 3.0 * s)) / s
+
+    points = [p for p in (z - sign * rho / ROOT8, z) if 0.0 < p < L]
+    return quad(f, 0.0, L, complex_func=True, epsabs=0.0, epsrel=1e-11, limit=2000, points=points or None)[0]
+
+
+def _composite_reference(rho, z, k, L, sign, pieces=512):
+    """Composite 24-point Gauss-Legendre in z' with extended-precision phase anchors.
+
+    Node phases are taken relative to their piece's midpoint, in the
+    cancellation-free form k dx (sign + 3 (d + d_m)/(s + s_m)), and the
+    midpoint phase k*w is reduced mod 2 pi in long double.  So, unlike the
+    plain quadrature, it carries no rounding of the total phase, which is
+    what limits the latter to ~1e-12.
+    """
+    edges = np.linspace(0.0, L, pieces + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    d_m = mid - z
+    s_m = np.hypot(rho, d_m)
+    dx = half[:, None] * _GL24[0]
+    d = d_m[:, None] + dx
+    s = np.hypot(rho, d)
+    local = np.exp(1j * k * dx * (sign + 3.0 * (d + d_m[:, None]) / (s + s_m[:, None]))) / s
+    mid_ld = mid.astype(np.longdouble)
+    w_m = sign * mid_ld + 3.0 * np.sqrt(np.longdouble(rho) ** 2 + (mid_ld - np.longdouble(z)) ** 2)
+    anchor = np.exp(1j * np.mod(np.longdouble(k) * w_m, _TWO_PI_LD).astype(float))
+    parts = anchor * half * (local @ _GL24[1])
+    return complex(math.fsum(parts.real), math.fsum(parts.imag))
+
+
+# QUADPACK flags the phase rounding of its double-precision integrand as
+# roundoff; it stays ~1e-12, far inside the rtol checked here.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("offset", [0.0, 1e-6, -1e-6, 0.5, -0.5, 1.0, -1.0, 4.0, -4.0, 20.0, -20.0])
+@pytest.mark.parametrize("endpoint", ["start", "end"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_numeric_stationary_point_near_endpoint(sign, endpoint, offset):
+    # k L = 1e3, k rho = 100: the stationary point sits `offset` Fresnel
+    # widths from z' = 0 or z' = L, on either side, where it coalesces with
+    # the endpoint.  About 640 oscillations: plain quadrature still resolves
+    # them, and the composite reference does so to ~1e-14.
+    rho, k, L = 0.1, 1e3, 1.0
+    zp = 0.0 if endpoint == "start" else L
+    z = zp + offset * math.sqrt(rho / k) + sign * rho / ROOT8
+    res = eval_numeric(PhaseModel(rho=rho, z=z, k=k, L=L, sign=sign), tol=1e-10)
+    np.testing.assert_allclose(res.value, _quad_reference(rho, z, k, L, sign), rtol=1e-10)
+    reference = _composite_reference(rho, z, k, L, sign)
+    np.testing.assert_allclose(res.value, reference, rtol=1e-10)
+    assert res.error_estimate >= abs(res.value - reference)
+
+
+def test_numeric_ligo_arm_matches_asymptotic(ligo_scenario):
+    # k L ~ 2.5e10.  At rho = 1 m the stationary-phase value is good to ~1e-7.
+    sc = ligo_scenario
+    assert sc.k * sc.L > 2e10
+    rho = sc.units.length_from_si(1.0)
+    for sign in (+1, -1):
+        m = PhaseModel(rho=rho, z=0.3 * sc.L, k=sc.k, L=sc.L, sign=sign)
+        num = eval_numeric(m, tol=1e-7)
+        assert num.error_estimate <= 1e-7 * abs(num.value)
+        asym = eval_asymptotic(m)
+        assert abs(num.value - asym.value) <= 1e-6 * abs(num.value)
 
 
 def test_asymptotic_modulus_and_phase():
@@ -236,7 +314,7 @@ def test_minus_integral_mirrors_plus():
 def test_convergence_error_carries_best_value():
     m = PhaseModel(rho=1e-3, z=2e-3, k=1e6, L=1e-2, sign=+1)
     with pytest.raises(ConvergenceError) as excinfo:
-        eval_numeric(m, tol=1e-9, max_segments=8)
+        eval_numeric(m, tol=1e-9, max_nodes=8)
     err = excinfo.value
     assert np.isfinite(err.error_estimate)
     assert np.isfinite(err.best_value.real) and np.isfinite(err.best_value.imag)
