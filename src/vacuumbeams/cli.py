@@ -25,7 +25,7 @@ import numpy as np
 from .background import BeamScenario
 from .correction import cone_geometry, correction_at, dimensionless_ratio
 from .errors import ConfigError, ConvergenceError, DomainError, UnsupportedGeometryError
-from .integrals import DEFAULT_MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric
+from .integrals import DEFAULT_MAX_NODES, PhaseModel, complex_times, eval_asymptotic, eval_numeric, stationary_point
 from .pressure import classical_force, pressure_report
 from .units import codata_constants
 
@@ -48,9 +48,12 @@ LIGO_PRESET = {
     "tol": 1e-9,
 }
 
+MAX_GRID_POINTS = 1_000_000  # bounds the per-point arrays and tables of field and integrals
 _MODES = ("numeric", "asymptotic", "both")
 _FORMATS = ("json", "csv")
 _FIELD_COLUMNS = ("rho_m", "z_m", "re_dEx", "im_dEx", "re_dBy", "im_dBy", "method", "low_accuracy")
+_INTEGRAL_COLUMNS = ("rho_m", "z_m", "sign", "re_I", "im_I", "error_estimate", "method", "stationary_point_m")
+_INTEGRAL_COLUMNS += ("in_support", "low_accuracy")
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +61,12 @@ _FIELD_COLUMNS = ("rho_m", "z_m", "re_dEx", "im_dEx", "re_dBy", "im_dBy", "metho
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("reports must not contain non-finite numbers")
         return format(value, ".17g")
-    if isinstance(value, str):
+    if isinstance(value, (bool, int, str)) or value is None:
         return json.dumps(value)
-    if value is None:
-        return "null"
     raise TypeError(f"unsupported report value {value!r}")
 
 
@@ -91,17 +88,55 @@ def dumps_report(obj, indent: int = 0) -> str:
 
 
 def _write_report(path: Path, report: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dumps_report(report) + "\n", encoding="utf-8")
 
 
-def _write_table(path: Path, columns: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(cell).strip('"') for cell in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _cells(column, fmt: str, size: int) -> tuple[str, np.ndarray]:
+    """printf conversion and arguments of a table column: ``size`` floats go raw, others as text once per value."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise ValueError("reports must not contain non-finite numbers")
+        if column.size == size:
+            return "%.17g", column
+        values, index = column.ravel(), np.arange(column.size)  # unique() would merge 0.0 and -0.0
     else:
-        payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
-        _write_report(path, payload)
+        values, index = np.unique(column, return_inverse=True)
+    text = np.array([_fmt(v).strip('"') if fmt == "csv" else _fmt(v) for v in values.tolist()], dtype=object)
+    return "%s", text[index.ravel()].reshape(column.shape)
+
+
+def _write_table(path: Path, columns: tuple[str, ...], blocks: list[tuple], fmt: str) -> int:
+    """Write a CSV or JSON table in bulk; returns its row count.
+
+    ``blocks`` holds per kind of row the column values, which broadcast to one array of points,
+    and the mask of points that have that row (None: all).  Rows go point by point, in block order.
+    """
+    shape = np.broadcast_shapes(*(np.shape(cell) for cells, _ in blocks for cell in cells))
+    csv = fmt == "csv"
+    per_block = []
+    for cells, keep in blocks:
+        specs, args = zip(*(_cells(cell, fmt, math.prod(shape)) for cell in cells))
+        template = ",".join(specs) if csv else "[\n      " + ",\n      ".join(specs) + "\n    ]"
+        rows = list(map(template.__mod__, zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in args))))
+        if keep is not None:
+            rows = [row if k else None for row, k in zip(rows, np.broadcast_to(keep, shape).ravel().tolist())]
+        per_block.append(rows)
+    rows = [row for point in zip(*per_block) for row in point if row is not None]
+    sep = "\n" if csv else ",\n    "
+    if csv:
+        head, end = ",".join(columns) + "\n", "\n" if rows else ""
+    else:
+        head = '{\n  "columns": ' + dumps_report(list(columns), 1) + ',\n  "rows": [' + ("\n    " if rows else "")
+        end = ("\n  ]" if rows else "]") + "\n}\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:  # in pieces, never the whole text at once
+        f.write(head)
+        for i in range(0, len(rows), 4096):
+            f.write(sep * (i > 0) + sep.join(rows[i : i + 4096]))
+        f.write(end)
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +234,8 @@ def _validate_grid(doc: dict, wavelength_m: float) -> dict | None:
         raise ConfigError("grid.rho_max_m", "must be >= rho_min_m")
     if out["z_max_m"] < out["z_min_m"]:
         raise ConfigError("grid.z_max_m", "must be >= z_min_m")
+    if out["rho_count"] * out["z_count"] > MAX_GRID_POINTS:
+        raise ConfigError("grid.z_count", f"rho_count * z_count must not exceed {MAX_GRID_POINTS}")
     return out
 
 
@@ -313,71 +350,81 @@ def _summary_block(scenario: BeamScenario, warnings_list: list[str]) -> dict:
     return summary
 
 
-def _grid_values(grid: dict) -> tuple[list[float], list[float], float]:
-    rho = [float(v) for v in np.linspace(grid["rho_min_m"], grid["rho_max_m"], grid["rho_count"])]
-    z = [float(v) for v in np.linspace(grid["z_min_m"], grid["z_max_m"], grid["z_count"])]
-    return rho, z, grid["t_s"]
+def _grid(config: dict, subcommand: str) -> tuple[BeamScenario, list[str], np.ndarray, np.ndarray]:
+    """Scenario, its warnings, and the grid in metres as a rho column and a z row."""
+    scenario, warn = build_scenario(config)
+    if "grid" not in config:
+        raise ConfigError("grid", f"missing required section for the {subcommand} subcommand")
+    grid = config["grid"]
+    rho_m = np.linspace(grid["rho_min_m"], grid["rho_max_m"], grid["rho_count"])[:, None]
+    return scenario, warn, rho_m, np.linspace(grid["z_min_m"], grid["z_max_m"], grid["z_count"])
+
+
+def _each_point(units, rho_m, z_m, signs: tuple, evaluate, warn: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Two numbers ``evaluate(rho, z, sign)`` (natural units) per grid point and sign, in row order.
+
+    Returns them in shape (rho, z, signs, 2) and the mask of the converged ones; a failure adds a warning.
+    """
+    values = []
+    for rho in rho_m.ravel().tolist():
+        for z in z_m.tolist():
+            for sign in signs:
+                try:
+                    values.append(evaluate(units.length_from_si(rho), units.length_from_si(z), sign))
+                except ConvergenceError as exc:
+                    values.append(None)
+                    where = "" if sign is None else f", sign={sign:+d}"
+                    warn.append(f"non-convergence at rho={rho:.6g} m, z={z:.6g} m{where}: {exc}")
+    shape = (rho_m.size, z_m.size, len(signs))
+    keep = np.array([v is not None for v in values]).reshape(shape)
+    return np.array([v or (0.0, 0.0) for v in values], dtype=complex).reshape(shape + (2,)), keep
+
+
+def _write_grid(out_dir: Path, fmt: str, columns: tuple, blocks: list, report: dict, warn: list, tail: dict):
+    """Write the table and report of ``field`` or ``integrals``; returns (report, exit_code)."""
+    name = report["subcommand"]
+    converged = all(keep is None or keep.all() for _, keep in blocks)
+    count = _write_table(out_dir / f"{name}_points.{fmt}", columns, blocks, fmt)
+    report.update(points_table=f"{name}_points.{fmt}", point_count=count, converged=converged, warnings=warn, **tail)
+    _write_report(out_dir / f"{name}_report.json", report)
+    return report, 0 if converged else 3
 
 
 def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
     """Grid evaluation of the correction field; returns (report, exit_code)."""
-    scenario, warn = build_scenario(config)
-    if "grid" not in config:
-        raise ConfigError("grid", "missing required section for the field subcommand")
-    rho_m, z_m, t_s = _grid_values(config["grid"])
+    scenario, warn, rho_m, z_m = _grid(config, "field")
     units = scenario.units
-    t = units.time_from_si(t_s)
-    modes = ("numeric", "asymptotic") if config["mode"] == "both" else (config["mode"],)
-    rows = []
-    deltas = []
-    converged = True
-    for rho in rho_m:
-        for z in z_m:
-            per_mode = {}
-            for mode in modes:
-                try:
-                    corr = correction_at(
-                        units.length_from_si(rho),
-                        units.length_from_si(z),
-                        t,
-                        scenario,
-                        mode=mode,
-                        tol=config["tol"],
-                        max_nodes=config["max_nodes"],
-                    )
-                except ConvergenceError as exc:
-                    converged = False
-                    warn.append(f"non-convergence at rho={rho:.6g} m, z={z:.6g} m: {exc}")
-                    continue
-                ex = units.field_to_si(1.0) * corr.delta_ex
-                by = units.field_to_si(1.0) * corr.delta_by
-                per_mode[mode] = (ex, by)
-                rows.append((float(rho), float(z), ex.real, ex.imag, by.real, by.imag, mode, corr.low_accuracy))
-            if len(per_mode) == 2:
-                d_ex = abs(per_mode["numeric"][0] - per_mode["asymptotic"][0])
-                d_by = abs(per_mode["numeric"][1] - per_mode["asymptotic"][1])
-                deltas.append((float(rho), float(z), d_ex, d_by))
-    table_name = f"field_points.{fmt}"
+    t = units.time_from_si(config["grid"]["t_s"])
+    fields = {}  # mode -> dEx, dBy (natural units), low_accuracy, mask of rows kept
+    if config["mode"] != "asymptotic":
+
+        def numeric(rho, z, _):
+            corr = correction_at(rho, z, t, scenario, "numeric", config["tol"], config["max_nodes"])
+            return corr.delta_ex, corr.delta_by
+
+        values, keep = _each_point(units, rho_m, z_m, (None,), numeric, warn)
+        fields["numeric"] = (values[:, :, 0, 0], values[:, :, 0, 1], False, keep[:, :, 0])
+    if config["mode"] != "numeric":
+        corr = correction_at(units.length_from_si(rho_m), units.length_from_si(z_m), t, scenario)
+        fields["asymptotic"] = (corr.delta_ex, corr.delta_by, corr.low_accuracy, None)
+    blocks, si = [], {}
+    for mode, (ex, by, low, keep) in fields.items():
+        ex, by = si[mode] = [complex_times(units.field_to_si(1.0), v) for v in (ex, by)]  # sqrt(W)/m
+        blocks.append(((rho_m, z_m, ex.real, ex.imag, by.real, by.imag, mode, low), keep))
+    tail = {}
+    if len(fields) == 2:
+        deltas = [np.hypot(d.real, d.imag) for d in np.subtract(si["numeric"], si["asymptotic"])]  # abs() of each
+        rows = np.stack(np.broadcast_arrays(rho_m, z_m, *deltas), axis=-1)[fields["numeric"][3]].tolist()
+        if rows:
+            tail["validation_deltas"] = {"columns": ["rho_m", "z_m", "abs_delta_dEx", "abs_delta_dBy"], "rows": rows}
     report = {
         "subcommand": "field",
         "config": config,
         "constants": _constants_block(scenario),
         "summary": _summary_block(scenario, warn),
         "field_unit": "sqrt(W)/m (power-equivalent amplitude)",
-        "points_table": table_name,
-        "point_count": len(rows),
-        "converged": converged,
-        "warnings": warn,
     }
-    if deltas:
-        report["validation_deltas"] = {
-            "columns": ["rho_m", "z_m", "abs_delta_dEx", "abs_delta_dBy"],
-            "rows": [list(d) for d in deltas],
-        }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / table_name, _FIELD_COLUMNS, rows, fmt)
-    _write_report(out_dir / "field_report.json", report)
-    return report, 0 if converged else 3
+    return _write_grid(out_dir, fmt, _FIELD_COLUMNS, blocks, report, warn, tail)
 
 
 def run_pressure(config: dict, out_dir: Path) -> tuple[dict, int]:
@@ -396,81 +443,36 @@ def run_pressure(config: dict, out_dir: Path) -> tuple[dict, int]:
         },
         "warnings": warn,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "pressure_report.json", report)
     return report, 0
 
 
 def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
-    scenario, warn = build_scenario(config)
-    if "grid" not in config:
-        raise ConfigError("grid", "missing required section for the integrals subcommand")
-    rho_m, z_m, _ = _grid_values(config["grid"])
+    scenario, warn, rho_m, z_m = _grid(config, "integrals")
     units = scenario.units
-    numeric = config["mode"] in ("numeric", "both")
-    asymptotic = config["mode"] in ("asymptotic", "both")
-    rows = []
-    converged = True
-    for rho in rho_m:
-        for z in z_m:
-            for sign in (+1, -1):
-                model = PhaseModel(
-                    rho=units.length_from_si(rho),
-                    z=units.length_from_si(z),
-                    k=scenario.k,
-                    L=scenario.L,
-                    sign=sign,
-                )
-                results = []
-                if numeric:
-                    try:
-                        results.append(eval_numeric(model, tol=config["tol"], max_nodes=config["max_nodes"]))
-                    except ConvergenceError as exc:
-                        converged = False
-                        warn.append(f"non-convergence at rho={rho:.6g} m, z={z:.6g} m, sign={sign:+d}: {exc}")
-                if asymptotic:
-                    results.append(eval_asymptotic(model))
-                for res in results:
-                    rows.append(
-                        (
-                            float(rho),
-                            float(z),
-                            sign,
-                            res.value.real,
-                            res.value.imag,
-                            res.error_estimate,
-                            res.method,
-                            units.length_to_si(res.stationary_point),
-                            res.in_support,
-                            res.low_accuracy,
-                        )
-                    )
-    columns = (
-        "rho_m",
-        "z_m",
-        "sign",
-        "re_I",
-        "im_I",
-        "error_estimate",
-        "method",
-        "stationary_point_m",
-        "in_support",
-        "low_accuracy",
-    )
-    table_name = f"integrals_points.{fmt}"
-    report = {
-        "subcommand": "integrals",
-        "config": config,
-        "constants": _constants_block(scenario),
-        "points_table": table_name,
-        "point_count": len(rows),
-        "converged": converged,
-        "warnings": warn,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / table_name, columns, rows, fmt)
-    _write_report(out_dir / "integrals_report.json", report)
-    return report, 0 if converged else 3
+    if config["mode"] != "asymptotic":
+
+        def numeric(rho, z, sign):
+            model = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=sign)
+            res = eval_numeric(model, tol=config["tol"], max_nodes=config["max_nodes"])
+            return res.value, res.error_estimate
+
+        values, keep = _each_point(units, rho_m, z_m, (+1, -1), numeric, warn)
+    blocks = []
+    for s, sign in enumerate((+1, -1)):
+        model = PhaseModel(units.length_from_si(rho_m), units.length_from_si(z_m), scenario.k, scenario.L, sign)
+        z0, inside = stationary_point(model)
+        z0_m = units.length_to_si(z0)
+        if config["mode"] != "asymptotic":
+            value, estimate = values[:, :, s, 0], values[:, :, s, 1].real
+            cells = (value.real, value.imag, estimate, "numeric", z0_m, inside, False)
+            blocks.append(((rho_m, z_m, sign, *cells), keep[:, :, s]))
+        if config["mode"] != "numeric":
+            res = eval_asymptotic(model)
+            cells = (res.value.real, res.value.imag, res.error_estimate, "asymptotic", z0_m, inside, res.low_accuracy)
+            blocks.append(((rho_m, z_m, sign, *cells), None))
+    report = {"subcommand": "integrals", "config": config, "constants": _constants_block(scenario)}
+    return _write_grid(out_dir, fmt, _INTEGRAL_COLUMNS, blocks, report, warn, {})
 
 
 def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
@@ -491,13 +493,7 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
         scenario, extra = build_scenario({**config, "scenario": variant})
         warn.extend(f"k_rho={k_rho:.6g}: {message}" for message in extra)
         units = scenario.units
-        model = PhaseModel(
-            rho=units.length_from_si(rho_m),
-            z=units.length_from_si(z_m),
-            k=scenario.k,
-            L=scenario.L,
-            sign=+1,
-        )
+        model = PhaseModel(units.length_from_si(rho_m), units.length_from_si(z_m), scenario.k, scenario.L, +1)
         asym = eval_asymptotic(model)
         try:
             num = eval_numeric(model, tol=config["tol"], max_nodes=config["max_nodes"])
@@ -527,8 +523,8 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
         "converged": converged,
         "warnings": warn,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir / table_name, ("k_rho", "deviation", "kind"), rows, fmt)
+    columns = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 3
+    _write_table(out_dir / table_name, ("k_rho", "deviation", "kind"), [(columns, None)], fmt)
     _write_report(out_dir / "validate_report.json", report)
     return report, 0 if converged else 3
 
@@ -553,7 +549,6 @@ def run_preset(name: str, override: dict | None, out_dir: Path) -> tuple[dict, i
         "summary": _summary_block(scenario, warn),
         "warnings": warn,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / f"{name}_report.json", report)
     return report, 0
 

@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .background import BeamScenario
 from .errors import DomainError
-from .integrals import DEFAULT_MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric
+from .integrals import DEFAULT_MAX_NODES, PhaseModel, _pack, _unwrap, complex_times, eval_asymptotic, eval_numeric
 from .sources import drive_constant
 
 
 @dataclass(frozen=True)
 class CorrectionField:
-    """Third-harmonic correction amplitudes at one point.
+    """Third-harmonic correction amplitudes at one point or an array of points.
 
     ``low_accuracy`` propagates the Fresnel-zone flag of the asymptotic
     integrals (stationary point within 3 sqrt(rho/k) of an endpoint).
@@ -67,31 +67,34 @@ def correction_at(
 ) -> CorrectionField:
     """Correction field (dEx, dBy) at (rho, z, t) in natural field units.
 
-    ``mode`` selects the axial-integral evaluator; ``tol`` and
-    ``max_nodes`` apply to the numeric one.  In asymptotic mode the result
-    is exactly zero where both stationary points are out of support.
+    ``rho`` and ``z`` may be broadcasting arrays, giving fields of that shape; scalars give Python
+    scalars, bit for bit the array elements.  ``mode`` selects the axial-integral evaluator, numeric
+    point by point with ``tol`` and ``max_nodes``.  In asymptotic mode the result is exactly zero
+    where both stationary points are out of support.
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
     if mode not in ("numeric", "asymptotic"):
         raise DomainError(f"unknown mode {mode!r}")
     plus = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=+1)
     minus = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=-1)
     if mode == "numeric":
-        res_p = eval_numeric(plus, tol=tol, max_nodes=max_nodes)
-        res_m = eval_numeric(minus, tol=tol, max_nodes=max_nodes)
+        shape = np.broadcast_shapes(np.shape(rho), np.shape(z))
+        points = zip(np.broadcast_to(rho, shape).ravel().tolist(), np.broadcast_to(z, shape).ravel().tolist())
+        values = [eval_numeric(replace(m, rho=r, z=q), tol, max_nodes).value for r, q in points for m in (plus, minus)]
+        i_p, i_m = np.moveaxis(np.array(values, dtype=complex).reshape(shape + (2,)), -1, 0)
+        low = np.zeros(shape, dtype=bool)
     else:
-        res_p = eval_asymptotic(plus)
-        res_m = eval_asymptotic(minus)
+        res_p, res_m = eval_asymptotic(plus), eval_asymptotic(minus)
+        i_p, i_m, low = res_p.value, res_m.value, res_p.low_accuracy | res_m.low_accuracy
     pref = drive_constant(scenario) * transverse_factor(scenario) * cmath.exp(-3j * scenario.omega * t)
     lam = scenario.constants.lambda_coupling
-    delta_ex = lam * (pref * (res_p.value + scenario.r * res_m.value))
-    delta_by = lam * (pref * (res_p.value - scenario.r * res_m.value)) / 3.0
+    r_m = complex_times(scenario.r, i_m)
+    by = complex_times(lam, complex_times(pref, i_p - r_m))
     return CorrectionField(
-        delta_ex=delta_ex,
-        delta_by=delta_by,
+        delta_ex=complex_times(lam, complex_times(pref, i_p + r_m)),
+        # / 3.0 as CPython divides by the complex 3 + 0i
+        delta_by=_pack((by.real + by.imag * 0.0) / 3.0, (by.imag - by.real * 0.0) / 3.0),
         mode=mode,
-        low_accuracy=res_p.low_accuracy or res_m.low_accuracy,
+        low_accuracy=_unwrap(low),
     )
 
 

@@ -38,7 +38,7 @@ _ROOT8 = math.sqrt(8.0)
 
 @dataclass(frozen=True)
 class PhaseModel:
-    """Geometry of one axial integral: point (rho, z), wavenumber, length, sign."""
+    """One axial integral: point (rho, z), wavenumber, length, sign; rho and z may be broadcasting arrays."""
 
     rho: float
     z: float
@@ -47,10 +47,9 @@ class PhaseModel:
     sign: int
 
     def __post_init__(self):
-        finite = math.isfinite
-        if not (finite(self.rho) and finite(self.z) and finite(self.k) and finite(self.L)):
+        if not all(np.isfinite(v).all() for v in (self.rho, self.z, self.k, self.L)):
             raise DomainError("rho, z, k and L must be finite")
-        if self.rho <= 0:
+        if np.any(np.less_equal(self.rho, 0.0)):
             raise DomainError("rho must be positive (the integrand is axis-singular)")
         if self.k <= 0:
             raise DomainError("k must be positive")
@@ -86,40 +85,57 @@ def phase_function(model: PhaseModel, zp):
     return w, w1, w2
 
 
+def _unwrap(a):
+    """A 0-d result as a Python scalar, any other as the array."""
+    a = np.asarray(a)
+    return a.item() if a.ndim == 0 else a
+
+
+def _pack(re, im):
+    """re + i im, set part by part so that signed zeros survive."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return _unwrap(out)
+
+
+def complex_times(c, z):
+    """c * z as CPython forms it, for scalars and arrays alike (numpy's can differ in the last bit)."""
+    cr, ci, zr, zi = np.real(c), np.imag(c), np.real(z), np.imag(z)
+    return _pack(cr * zr - ci * zi, cr * zi + ci * zr)
+
+
 def stationary_point(model: PhaseModel) -> tuple[float, bool]:
-    """Location z0' where w' vanishes, and whether 0 < z0' < L."""
-    z0 = float(model.z - model.sign * model.rho / math.sqrt(8.0))
-    return z0, bool(0.0 < z0 < model.L)
+    """Location z0' where w' vanishes, and whether 0 < z0' < L (arrays for an array model)."""
+    z0 = np.subtract(model.z, model.sign * model.rho / _ROOT8)
+    return _unwrap(z0), _unwrap((0.0 < z0) & (z0 < model.L))
 
 
 def fresnel_width(model: PhaseModel) -> float:
     """Transition-zone scale sqrt(rho/k) around a support boundary."""
-    return math.sqrt(model.rho / model.k)
-
-
-def _near_boundary(model: PhaseModel) -> bool:
-    z0, _ = stationary_point(model)
-    width = 3.0 * fresnel_width(model)
-    return bool(abs(z0) < width or abs(z0 - model.L) < width)
+    return _unwrap(np.sqrt(np.divide(model.rho, model.k)))
 
 
 def eval_asymptotic(model: PhaseModel) -> IntegralResult:
-    """Leading stationary-phase closed form, exactly zero out of support."""
+    """Leading stationary-phase closed form, exactly zero out of support.
+
+    Array rho and z give arrays of their broadcast shape in every field; a
+    scalar model is the 0-d case, with Python scalars.  ``low_accuracy`` flags
+    a stationary point within 3 Fresnel widths of an endpoint.
+    """
     z0, inside = stationary_point(model)
-    krho = model.k * model.rho
-    if inside:
-        modulus = math.sqrt(math.pi / (math.sqrt(2.0) * krho))
-        phase = model.sign * model.k * model.z + math.sqrt(8.0) * krho + math.pi / 4.0
-        value = modulus * complex(math.cos(phase), math.sin(phase))
-    else:
-        value = 0.0 + 0.0j
+    width = 3.0 * fresnel_width(model)
+    krho = model.k * np.asarray(model.rho)
+    phase = model.sign * model.k * model.z + math.sqrt(8.0) * krho + math.pi / 4.0
+    modulus = np.sqrt(math.pi / (math.sqrt(2.0) * krho))
+    # x ** -0.5 through libm's pow, once per rho: numpy's power may differ in the last bit
+    estimate = np.reshape([x**-0.5 for x in np.ravel(krho).tolist()], krho.shape)
     return IntegralResult(
-        value=value,
+        value=_pack(np.where(inside, modulus * np.cos(phase), 0.0), np.where(inside, modulus * np.sin(phase), 0.0)),
         method="asymptotic",
-        error_estimate=krho**-0.5,
+        error_estimate=_unwrap(np.broadcast_to(estimate, np.shape(z0)).copy()),
         stationary_point=z0,
         in_support=inside,
-        low_accuracy=_near_boundary(model),
+        low_accuracy=_unwrap((abs(z0) < width) | (abs(z0 - model.L) < width)),
     )
 
 

@@ -8,9 +8,12 @@ from scipy.integrate import quad
 from vacuumbeams import (
     BeamScenario,
     DomainError,
+    PhaseModel,
     cone_geometry,
     correction_at,
     dimensionless_ratio,
+    drive_constant,
+    eval_asymptotic,
     transverse_factor,
 )
 
@@ -252,3 +255,66 @@ def test_cone_geometry_values(toy_scenario):
     assert cone.directions[1] @ np.array([0.0, 0.0, 1.0]) == -1.0 / 3.0
     assert cone.frequency_ratio == 3.0
     np.testing.assert_allclose(cone.frequency, 3.0 * toy_scenario.omega, rtol=1e-15)
+
+
+def _bits(value):
+    """Bit patterns of a float or complex value or array, so that 0.0 and -0.0 differ."""
+    return np.atleast_1d(value).view(np.uint64)
+
+
+def _grid_points(scenario):
+    """Natural-unit (rho, z) pairs: lit, shadow, both ends, and +/-3 Fresnel widths from each support boundary."""
+    length = scenario.units.length
+    pairs = []
+    for rho_m in (0.05, 1.0, 37.0, 300.0):
+        rho = rho_m / length
+        width = math.sqrt(rho / scenario.k)
+        edges = [rho / ROOT8, scenario.L - rho / ROOT8, -rho / ROOT8, scenario.L + rho / ROOT8]
+        zs = [e + n * width for e in edges for n in (-3.5, -3.0, -1.0, 0.0, 1.0, 3.0, 3.5)]
+        zs += [-0.06 * scenario.L, 0.0, 0.5 * scenario.L, scenario.L, 1.06 * scenario.L]
+        pairs += [(rho, z) for z in zs]
+    return np.array(pairs).T
+
+
+@pytest.mark.parametrize("which", ["ligo", "complex_r"])
+def test_array_calls_match_scalar_calls_bitwise(ligo_scenario, which):
+    sc, t = ligo_scenario, 0.0
+    if which == "complex_r":
+        sc = BeamScenario.from_si(power_w=3e3, wavelength_m=1.3e-6, w0_m=0.1, R_m=0.1, L_m=4000.0, r=0.7 * cmath.exp(2.1j))
+        t = sc.units.time_from_si(1.7e-15)
+    rho, z = _grid_points(sc)
+    for sign in (+1, -1):
+        array = eval_asymptotic(PhaseModel(rho=rho, z=z, k=sc.k, L=sc.L, sign=sign))
+        for i, (r, zz) in enumerate(zip(rho.tolist(), z.tolist())):
+            one = eval_asymptotic(PhaseModel(rho=r, z=zz, k=sc.k, L=sc.L, sign=sign))
+            assert type(one.value) is complex and type(one.in_support) is bool and type(one.low_accuracy) is bool
+            assert (_bits(one.value) == _bits(array.value[i])).all()
+            assert _bits(one.error_estimate) == _bits(array.error_estimate[i])
+            assert _bits(one.stationary_point) == _bits(array.stationary_point[i])
+            assert (one.in_support, one.low_accuracy) == (array.in_support[i], array.low_accuracy[i])
+    # a rho column against a z row broadcasts to the grid, element for element; the scalar call
+    # also equals the assembly in CPython complex arithmetic
+    grid = correction_at(rho[::9, None], z[None, :], t, sc)
+    assert grid.delta_ex.shape == (rho[::9].size, z.size)
+    pref = drive_constant(sc) * transverse_factor(sc) * cmath.exp(-3j * sc.omega * t)
+    lam = sc.constants.lambda_coupling
+    for i, r in enumerate(rho[::9].tolist()):
+        for j, zz in enumerate(z.tolist()):
+            one = correction_at(r, zz, t, sc)
+            assert type(one.delta_ex) is complex and type(one.low_accuracy) is bool
+            assert (_bits([one.delta_ex, one.delta_by]) == _bits([grid.delta_ex[i, j], grid.delta_by[i, j]])).all()
+            i_p, i_m = (eval_asymptotic(PhaseModel(rho=r, z=zz, k=sc.k, L=sc.L, sign=s)).value for s in (1, -1))
+            reference = [lam * (pref * (i_p + sc.r * i_m)), lam * (pref * (i_p - sc.r * i_m)) / 3.0]
+            assert (_bits([one.delta_ex, one.delta_by]) == _bits(reference)).all()
+            assert one.low_accuracy == grid.low_accuracy[i, j]
+    lit, shadow = grid.delta_ex != 0, grid.delta_ex == 0
+    assert lit.any() and shadow.any() and grid.low_accuracy.any() and not grid.low_accuracy.all()
+
+
+def test_numeric_array_call_matches_scalar_calls(toy_scenario):
+    rho, z = np.array([900.0, 1500.0, 2500.0]), np.array([12000.0, 300.0, 49000.0])
+    array = correction_at(rho, z, 0.4, toy_scenario, mode="numeric", tol=1e-8)
+    for i in range(rho.size):
+        one = correction_at(rho[i], z[i], 0.4, toy_scenario, mode="numeric", tol=1e-8)
+        assert (_bits([one.delta_ex, one.delta_by]) == _bits([array.delta_ex[i], array.delta_by[i]])).all()
+    assert not array.low_accuracy.any()
