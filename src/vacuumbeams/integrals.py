@@ -115,17 +115,30 @@ def fresnel_width(model: PhaseModel) -> float:
     return _unwrap(np.sqrt(np.divide(model.rho, model.k)))
 
 
+_E60, _ROOT8_E60 = 10**60, math.isqrt(8 * 10**120)  # 1 and sqrt(8) in units of 1e-60
+_TWO_PI_E60 = 6283185307179586476925286766559005768394338798750211641949889
+
+
+def _reduced(factor_e60: int, k: float, x) -> np.ndarray:
+    """(factor k x) mod 2 pi per element of x, with k x formed exactly: good to ~1e-50 rad at any size."""
+    pk, qk = float(k).as_integer_ratio()
+    ratios = map(float.as_integer_ratio, np.ravel(x).tolist())
+    return np.reshape([factor_e60 * pk * p // (qk * q) % _TWO_PI_E60 / _E60 for p, q in ratios], np.shape(x))
+
+
 def eval_asymptotic(model: PhaseModel) -> IntegralResult:
     """Leading stationary-phase closed form, exactly zero out of support.
 
     Array rho and z give arrays of their broadcast shape in every field; a
     scalar model is the 0-d case, with Python scalars.  ``low_accuracy`` flags
-    a stationary point within 3 Fresnel widths of an endpoint.
+    a stationary point within 3 Fresnel widths of an endpoint.  The phase
+    terms sign k z and sqrt(8) k rho (~1e10 rad at the LIGO arm, ~1e-6 rad of
+    rounding in double) are reduced mod 2 pi exactly, per element of z and rho.
     """
     z0, inside = stationary_point(model)
     width = 3.0 * fresnel_width(model)
     krho = model.k * np.asarray(model.rho)
-    phase = model.sign * model.k * model.z + math.sqrt(8.0) * krho + math.pi / 4.0
+    phase = model.sign * _reduced(_E60, model.k, model.z) + _reduced(_ROOT8_E60, model.k, model.rho) + math.pi / 4
     modulus = np.sqrt(math.pi / (math.sqrt(2.0) * krho))
     # x ** -0.5 through libm's pow, once per rho: numpy's power may differ in the last bit
     estimate = np.reshape([x**-0.5 for x in np.ravel(krho).tolist()], krho.shape)

@@ -1,9 +1,10 @@
 import json
 import math
 
+import mpmath
 import pytest
 
-from vacuumbeams.cli import main
+from vacuumbeams.cli import LIGO_PRESET, build_scenario, main, validate_config
 
 BASE_CONFIG = {
     "scenario": {
@@ -265,3 +266,72 @@ def test_dumps_report_rejects_non_finite():
         dumps_report({"bad": float("inf")})
     with pytest.raises(ValueError):
         dumps_report({"bad": float("nan")})
+
+
+def _ligo_field_rows(tmp_path, grid):
+    doc = {"scenario": dict(LIGO_PRESET["scenario"]), "grid": grid, "mode": "asymptotic"}
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["field", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "field_points.csv").read_text().splitlines()
+    assert len(lines) == 1 + grid["rho_count"] * grid["z_count"]
+    scenario, _ = build_scenario(validate_config(doc))
+    return scenario, [line.split(",") for line in lines[1:]]
+
+
+_L = LIGO_PRESET["scenario"]["L_m"]
+_EDGE = 1.0 / math.sqrt(8.0)  # support boundaries at z = rho/sqrt(8) and L - rho/sqrt(8), rho = 1 m
+_WIDTH = math.sqrt(1.0 / (2.0 * math.pi / LIGO_PRESET["scenario"]["wavelength_m"]))  # Fresnel width at rho = 1 m
+
+
+def _boundary_grid(z_edge):
+    """rho = 1 m, z from -4 to +4 Fresnel widths around z_edge, in steps of 0.8 widths."""
+    return dict(rho_min_m=1.0, rho_max_m=1.0, rho_count=1, z_min_m=z_edge - 4 * _WIDTH, z_max_m=z_edge + 4 * _WIDTH, z_count=11)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # lit and shadow points over the whole arm and beyond both ends
+        dict(rho_min_m=0.05, rho_max_m=300.0, rho_count=4, z_min_m=-250.0, z_max_m=4250.0, z_count=9),
+        # the four support boundaries at rho = 1 m; beyond the outer two both terms vanish
+        _boundary_grid(_EDGE),
+        _boundary_grid(-_EDGE),
+        _boundary_grid(_L - _EDGE),
+        _boundary_grid(_L + _EDGE),
+    ],
+)
+def test_field_table_matches_closed_form_oracle(tmp_path, grid):
+    """Asymptotic LIGO-arm rows against the stationary-phase closed form in 30-digit mpmath."""
+    scenario, rows = _ligo_field_rows(tmp_path, dict(grid, t_s=0.0))
+    mp = mpmath.mpf
+    flags = []
+    with mpmath.workdps(30):
+        k, L, r = mp(scenario.k), mp(scenario.L), mpmath.mpc(scenario.r)
+        drive = 16 * r * mp(scenario.omega) ** 2 * mp(scenario.amplitude) ** 3
+        w0, radius = mp(scenario.w0), mp(scenario.R)
+        transverse = w0**2 / 4 * (1 - mpmath.exp(-3 * (radius / w0) ** 2))
+        pref = mp(scenario.units.field_amplitude) * mp(scenario.constants.lambda_coupling) * drive * transverse
+        for cells in rows:
+            # the same double inputs as the CLI's natural-unit coordinates
+            rho, z = (mp(float(c) / scenario.units.length) for c in cells[:2])
+            terms, near = [], False
+            for sign in (+1, -1):
+                z0 = z - sign * rho / mpmath.sqrt(8)
+                near |= abs(z0) < 3 * mpmath.sqrt(rho / k) or abs(z0 - L) < 3 * mpmath.sqrt(rho / k)
+                phase = sign * k * z + mpmath.sqrt(8) * k * rho + mpmath.pi / 4
+                lit = 0 < z0 < L
+                terms.append(mpmath.sqrt(mpmath.pi / (mpmath.sqrt(2) * k * rho)) * mpmath.expj(phase) if lit else 0)
+            ex, by = mpmath.mpc(float(cells[2]), float(cells[3])), mpmath.mpc(float(cells[4]), float(cells[5]))
+            assert cells[6] == "asymptotic" and cells[7] == ("true" if near else "false")
+            flags.append((terms != [0, 0], near))
+            if terms == [0, 0]:
+                assert cells[2:6] == ["0", "0", "0", "0"]
+                continue
+            scale = abs(pref) * (abs(terms[0]) + abs(r) * abs(terms[1]))
+            assert abs(ex - pref * (terms[0] + r * terms[1])) <= 1e-9 * scale
+            assert abs(by - pref * (terms[0] - r * terms[1]) / 3) <= 1e-9 * scale / 3
+    lit, near = (set(column) for column in zip(*flags))
+    assert True in lit
+    assert near == ({True, False} if grid["rho_count"] == 1 else {False})
+    assert (False in lit) == (not 0 < grid["z_min_m"] < _L)  # dark points only past an end
