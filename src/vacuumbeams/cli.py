@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .background import BeamScenario
-from .correction import cone_geometry, correction_at, dimensionless_ratio
+from .correction import complex_times, cone_geometry, correction_at, dimensionless_ratio
 from .errors import ConfigError, ConvergenceError, DomainError, UnsupportedGeometryError
-from .integrals import DEFAULT_MAX_NODES, PhaseModel, complex_times, eval_asymptotic, eval_numeric, stationary_point
+from .integrals import DEFAULT_MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric, stationary_point
 from .pressure import classical_force, pressure_report
 from .units import codata_constants
 
@@ -88,55 +88,53 @@ def dumps_report(obj, indent: int = 0) -> str:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dumps_report(report) + "\n", encoding="utf-8")
 
 
-def _cells(column, fmt: str, size: int) -> tuple[str, np.ndarray]:
-    """printf conversion and arguments of a table column: ``size`` floats go raw, others as text once per value."""
-    column = np.asarray(column)
+def _cells(column, fmt: str, shape: tuple) -> tuple[str, np.ndarray | None]:
+    """printf conversion and flat arguments of a column: constants inline, one float per point raw, else text."""
+    if not isinstance(column, np.ndarray):
+        return (_fmt(column).strip('"') if fmt == "csv" else _fmt(column)).replace("%", "%%"), None
     if column.dtype.kind == "f":
         if not np.isfinite(column).all():
             raise ValueError("reports must not contain non-finite numbers")
-        if column.size == size:
-            return "%.17g", column
-        values, index = column.ravel(), np.arange(column.size)  # unique() would merge 0.0 and -0.0
+        if column.size == math.prod(shape):
+            return "%.17g", column.ravel()
+    if column.dtype == bool:
+        text = np.where(column, "true", "false")
     else:
-        values, index = np.unique(column, return_inverse=True)
-    text = np.array([_fmt(v).strip('"') if fmt == "csv" else _fmt(v) for v in values.tolist()], dtype=object)
-    return "%s", text[index.ravel()].reshape(column.shape)
+        text = [_fmt(v).strip('"') if fmt == "csv" else _fmt(v) for v in column.ravel().tolist()]
+        text = np.array(text, dtype=object).reshape(column.shape)
+    return "%s", (text if text.shape == shape else np.broadcast_to(text, shape)).ravel()
 
 
-def _write_table(path: Path, columns: tuple[str, ...], blocks: list[tuple], fmt: str) -> int:
-    """Write a CSV or JSON table in bulk; returns its row count.
+def _write_table(path: Path, columns: tuple[str, ...], shape: tuple, blocks: list[tuple], fmt: str) -> int:
+    """Write a CSV or JSON table over points of ``shape`` in bulk; returns its row count.
 
-    ``blocks`` holds per kind of row the column values, which broadcast to one array of points,
-    and the mask of points that have that row (None: all).  Rows go point by point, in block order.
+    ``blocks`` holds per kind of row its column values (each broadcasting to ``shape``) and the mask of the
+    points that have the row (None: all).  Rows go point by point, in block order.
     """
-    shape = np.broadcast_shapes(*(np.shape(cell) for cells, _ in blocks for cell in cells))
-    csv = fmt == "csv"
-    per_block = []
+    size, parts, csv, written = math.prod(shape), [], fmt == "csv", 0
     for cells, keep in blocks:
-        specs, args = zip(*(_cells(cell, fmt, math.prod(shape)) for cell in cells))
+        specs, args = zip(*(_cells(cell, fmt, shape) for cell in cells))
         template = ",".join(specs) if csv else "[\n      " + ",\n      ".join(specs) + "\n    ]"
-        rows = list(map(template.__mod__, zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in args))))
-        if keep is not None:
-            rows = [row if k else None for row, k in zip(rows, np.broadcast_to(keep, shape).ravel().tolist())]
-        per_block.append(rows)
-    rows = [row for point in zip(*per_block) for row in point if row is not None]
-    sep = "\n" if csv else ",\n    "
-    if csv:
-        head, end = ",".join(columns) + "\n", "\n" if rows else ""
-    else:
-        head = '{\n  "columns": ' + dumps_report(list(columns), 1) + ',\n  "rows": [' + ("\n    " if rows else "")
-        end = ("\n  ]" if rows else "]") + "\n}\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:  # in pieces, never the whole text at once
+        keep = np.ones(size, dtype=bool) if keep is None else keep.ravel()
+        parts.append((template, [a for a in args if a is not None], keep))
+    head = ",".join(columns) + "\n" if csv else '{\n  "columns": ' + dumps_report(list(columns), 1) + ',\n  "rows": ['
+    first, sep = ("", "\n") if csv else ("\n    ", ",\n    ")  # before the first row, between rows
+    with open(path, "w", encoding="utf-8") as f:
         f.write(head)
-        for i in range(0, len(rows), 4096):
-            f.write(sep * (i > 0) + sep.join(rows[i : i + 4096]))
-        f.write(end)
-    return len(rows)
+        for start in range(0, size, 4096):  # 4096 points at a time: few rows and floats alive at once
+            points = slice(start, start + 4096)
+            per_block = []
+            for template, args, keep in parts:
+                rows = zip(*(a[points].tolist() for a in args))
+                per_block.append([template % row if k else None for row, k in zip(rows, keep[points].tolist())])
+            rows = [row for point in zip(*per_block) for row in point if row is not None]
+            f.write((sep if written else first) + sep.join(rows) if rows else "")
+            written += len(rows)
+        f.write(("\n" if written else "") if csv else ("\n  ]" if written else "]") + "\n}\n")
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +359,9 @@ def _grid(config: dict, subcommand: str) -> tuple[BeamScenario, list[str], np.nd
 
 
 def _each_point(units, rho_m, z_m, signs: tuple, evaluate, warn: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Two numbers ``evaluate(rho, z, sign)`` (natural units) per grid point and sign, in row order.
+    """``evaluate(rho, z, sign)`` (natural units, two numbers) per grid point and sign, in row order.
 
-    Returns them in shape (rho, z, signs, 2) and the mask of the converged ones; a failure adds a warning.
+    Returns them shaped (rho, z, signs, 2) and the mask of those that converged; failures add warnings.
     """
     values = []
     for rho in rho_m.ravel().tolist():
@@ -380,12 +378,13 @@ def _each_point(units, rho_m, z_m, signs: tuple, evaluate, warn: list[str]) -> t
     return np.array([v or (0.0, 0.0) for v in values], dtype=complex).reshape(shape + (2,)), keep
 
 
-def _write_grid(out_dir: Path, fmt: str, columns: tuple, blocks: list, report: dict, warn: list, tail: dict):
-    """Write the table and report of ``field`` or ``integrals``; returns (report, exit_code)."""
+def _write_grid(out_dir: Path, fmt: str, columns: tuple, shape: tuple, blocks: list, report: dict, tail: dict):
+    """Write the table and report (``report``, table keys, then ``tail``) of field or integrals; (report, exit code)."""
     name = report["subcommand"]
     converged = all(keep is None or keep.all() for _, keep in blocks)
-    count = _write_table(out_dir / f"{name}_points.{fmt}", columns, blocks, fmt)
-    report.update(points_table=f"{name}_points.{fmt}", point_count=count, converged=converged, warnings=warn, **tail)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    count = _write_table(out_dir / f"{name}_points.{fmt}", columns, shape, blocks, fmt)
+    report.update(points_table=f"{name}_points.{fmt}", point_count=count, converged=converged, **tail)
     _write_report(out_dir / f"{name}_report.json", report)
     return report, 0 if converged else 3
 
@@ -407,13 +406,14 @@ def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
     if config["mode"] != "numeric":
         corr = correction_at(units.length_from_si(rho_m), units.length_from_si(z_m), t, scenario)
         fields["asymptotic"] = (corr.delta_ex, corr.delta_by, corr.low_accuracy, None)
-    blocks, si = [], {}
+    scale, blocks, si = units.field_to_si(1.0), [], {}  # si: mode -> re, im of dEx and of dBy in sqrt(W)/m
     for mode, (ex, by, low, keep) in fields.items():
-        ex, by = si[mode] = [complex_times(units.field_to_si(1.0), v) for v in (ex, by)]  # sqrt(W)/m
-        blocks.append(((rho_m, z_m, ex.real, ex.imag, by.real, by.imag, mode, low), keep))
-    tail = {}
+        si[mode] = (*complex_times(scale, ex.real, ex.imag), *complex_times(scale, by.real, by.imag))
+        blocks.append(((rho_m, z_m, *si[mode], mode, low), keep))
+    tail = {"warnings": warn}
     if len(fields) == 2:
-        deltas = [np.hypot(d.real, d.imag) for d in np.subtract(si["numeric"], si["asymptotic"])]  # abs() of each
+        d = np.subtract(si["numeric"], si["asymptotic"])
+        deltas = [np.hypot(d[0], d[1]), np.hypot(d[2], d[3])]  # abs() of the complex differences
         rows = np.stack(np.broadcast_arrays(rho_m, z_m, *deltas), axis=-1)[fields["numeric"][3]].tolist()
         if rows:
             tail["validation_deltas"] = {"columns": ["rho_m", "z_m", "abs_delta_dEx", "abs_delta_dBy"], "rows": rows}
@@ -424,7 +424,7 @@ def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
         "summary": _summary_block(scenario, warn),
         "field_unit": "sqrt(W)/m (power-equivalent amplitude)",
     }
-    return _write_grid(out_dir, fmt, _FIELD_COLUMNS, blocks, report, warn, tail)
+    return _write_grid(out_dir, fmt, _FIELD_COLUMNS, (rho_m.size, z_m.size), blocks, report, tail)
 
 
 def run_pressure(config: dict, out_dir: Path) -> tuple[dict, int]:
@@ -443,6 +443,7 @@ def run_pressure(config: dict, out_dir: Path) -> tuple[dict, int]:
         },
         "warnings": warn,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "pressure_report.json", report)
     return report, 0
 
@@ -453,8 +454,7 @@ def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
     if config["mode"] != "asymptotic":
 
         def numeric(rho, z, sign):
-            model = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=sign)
-            res = eval_numeric(model, tol=config["tol"], max_nodes=config["max_nodes"])
+            res = eval_numeric(PhaseModel(rho, z, scenario.k, scenario.L, sign), config["tol"], config["max_nodes"])
             return res.value, res.error_estimate
 
         values, keep = _each_point(units, rho_m, z_m, (+1, -1), numeric, warn)
@@ -472,7 +472,7 @@ def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
             cells = (res.value.real, res.value.imag, res.error_estimate, "asymptotic", z0_m, inside, res.low_accuracy)
             blocks.append(((rho_m, z_m, sign, *cells), None))
     report = {"subcommand": "integrals", "config": config, "constants": _constants_block(scenario)}
-    return _write_grid(out_dir, fmt, _INTEGRAL_COLUMNS, blocks, report, warn, {})
+    return _write_grid(out_dir, fmt, _INTEGRAL_COLUMNS, (rho_m.size, z_m.size), blocks, report, {"warnings": warn})
 
 
 def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
@@ -523,8 +523,9 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
         "converged": converged,
         "warnings": warn,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     columns = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 3
-    _write_table(out_dir / table_name, ("k_rho", "deviation", "kind"), [(columns, None)], fmt)
+    _write_table(out_dir / table_name, ("k_rho", "deviation", "kind"), (len(rows),), [(columns, None)], fmt)
     _write_report(out_dir / "validate_report.json", report)
     return report, 0 if converged else 3
 
@@ -549,6 +550,7 @@ def run_preset(name: str, override: dict | None, out_dir: Path) -> tuple[dict, i
         "summary": _summary_block(scenario, warn),
         "warnings": warn,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / f"{name}_report.json", report)
     return report, 0
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .background import BeamScenario
 from .errors import DomainError
-from .integrals import DEFAULT_MAX_NODES, PhaseModel, _pack, _unwrap, complex_times, eval_asymptotic, eval_numeric
+from .integrals import DEFAULT_MAX_NODES, PhaseModel, _pack, _unwrap, eval_asymptotic, eval_numeric
 from .sources import drive_constant
 
 
@@ -56,6 +56,15 @@ def transverse_factor(scenario: BeamScenario) -> float:
     return 0.25 * scenario.w0**2 * (1.0 - math.exp(-3.0 * (scenario.R / scenario.w0) ** 2))
 
 
+def complex_times(c: complex, re, im) -> tuple:
+    """(re, im) of c (re + i im) formed as CPython forms a complex product, for float or array parts.
+
+    numpy's complex multiply can differ from CPython's in the last bit; this keeps arrays and scalars equal.
+    """
+    c = complex(c)
+    return c.real * re - c.imag * im, c.real * im + c.imag * re
+
+
 def correction_at(
     rho: float,
     z: float,
@@ -74,25 +83,25 @@ def correction_at(
     """
     if mode not in ("numeric", "asymptotic"):
         raise DomainError(f"unknown mode {mode!r}")
-    plus = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=+1)
-    minus = PhaseModel(rho=rho, z=z, k=scenario.k, L=scenario.L, sign=-1)
     if mode == "numeric":
-        shape = np.broadcast_shapes(np.shape(rho), np.shape(z))
-        points = zip(np.broadcast_to(rho, shape).ravel().tolist(), np.broadcast_to(z, shape).ravel().tolist())
-        values = [eval_numeric(replace(m, rho=r, z=q), tol, max_nodes).value for r, q in points for m in (plus, minus)]
-        i_p, i_m = np.moveaxis(np.array(values, dtype=complex).reshape(shape + (2,)), -1, 0)
-        low = np.zeros(shape, dtype=bool)
+        rho, z = np.broadcast_arrays(rho, z)
+        k, L = scenario.k, scenario.L
+        models = [PhaseModel(r, q, k, L, s) for r, q in zip(rho.ravel().tolist(), z.ravel().tolist()) for s in (1, -1)]
+        values = np.array([eval_numeric(m, tol, max_nodes).value for m in models], dtype=complex)
+        i_p, i_m = (_unwrap(v.reshape(rho.shape)) for v in values.reshape(-1, 2).T)
+        low = np.zeros(rho.shape, dtype=bool)
     else:
-        res_p, res_m = eval_asymptotic(plus), eval_asymptotic(minus)
+        res_p, res_m = (eval_asymptotic(PhaseModel(rho, z, scenario.k, scenario.L, s)) for s in (1, -1))
         i_p, i_m, low = res_p.value, res_m.value, res_p.low_accuracy | res_m.low_accuracy
     pref = drive_constant(scenario) * transverse_factor(scenario) * cmath.exp(-3j * scenario.omega * t)
     lam = scenario.constants.lambda_coupling
-    r_m = complex_times(scenario.r, i_m)
-    by = complex_times(lam, complex_times(pref, i_p - r_m))
+    r_re, r_im = complex_times(scenario.r, i_m.real, i_m.imag)
+    ex = complex_times(lam, *complex_times(pref, i_p.real + r_re, i_p.imag + r_im))
+    by = complex_times(lam, *complex_times(pref, i_p.real - r_re, i_p.imag - r_im))
     return CorrectionField(
-        delta_ex=complex_times(lam, complex_times(pref, i_p + r_m)),
+        delta_ex=_pack(*ex),
         # / 3.0 as CPython divides by the complex 3 + 0i
-        delta_by=_pack((by.real + by.imag * 0.0) / 3.0, (by.imag - by.real * 0.0) / 3.0),
+        delta_by=_pack((by[0] + by[1] * 0.0) / 3.0, (by[1] - by[0] * 0.0) / 3.0),
         mode=mode,
         low_accuracy=_unwrap(low),
     )

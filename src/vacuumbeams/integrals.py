@@ -47,9 +47,10 @@ class PhaseModel:
     sign: int
 
     def __post_init__(self):
-        if not all(np.isfinite(v).all() for v in (self.rho, self.z, self.k, self.L)):
+        finite = np.logical_and.reduce(np.isfinite(self.rho) & np.isfinite(self.z), axis=None)
+        if not (finite and math.isfinite(self.k) and math.isfinite(self.L)):
             raise DomainError("rho, z, k and L must be finite")
-        if np.any(np.less_equal(self.rho, 0.0)):
+        if np.minimum.reduce(self.rho, axis=None) <= 0:
             raise DomainError("rho must be positive (the integrand is axis-singular)")
         if self.k <= 0:
             raise DomainError("k must be positive")
@@ -92,21 +93,15 @@ def _unwrap(a):
 
 
 def _pack(re, im):
-    """re + i im, set part by part so that signed zeros survive."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
+    """re + i im for parts of one shape, set part by part so that signed zeros survive."""
+    out = np.array(re, dtype=complex)
+    out.imag = im
     return _unwrap(out)
-
-
-def complex_times(c, z):
-    """c * z as CPython forms it, for scalars and arrays alike (numpy's can differ in the last bit)."""
-    cr, ci, zr, zi = np.real(c), np.imag(c), np.real(z), np.imag(z)
-    return _pack(cr * zr - ci * zi, cr * zi + ci * zr)
 
 
 def stationary_point(model: PhaseModel) -> tuple[float, bool]:
     """Location z0' where w' vanishes, and whether 0 < z0' < L (arrays for an array model)."""
-    z0 = np.subtract(model.z, model.sign * model.rho / _ROOT8)
+    z0 = model.z - model.sign * model.rho / _ROOT8
     return _unwrap(z0), _unwrap((0.0 < z0) & (z0 < model.L))
 
 
@@ -129,11 +124,10 @@ def _reduced(factor_e60: int, k: float, x) -> np.ndarray:
 def eval_asymptotic(model: PhaseModel) -> IntegralResult:
     """Leading stationary-phase closed form, exactly zero out of support.
 
-    Array rho and z give arrays of their broadcast shape in every field; a
-    scalar model is the 0-d case, with Python scalars.  ``low_accuracy`` flags
-    a stationary point within 3 Fresnel widths of an endpoint.  The phase
-    terms sign k z and sqrt(8) k rho (~1e10 rad at the LIGO arm, ~1e-6 rad of
-    rounding in double) are reduced mod 2 pi exactly, per element of z and rho.
+    Array rho and z give arrays of their broadcast shape in every field (a scalar model is the 0-d case,
+    with Python scalars); ``low_accuracy`` flags a stationary point within 3 Fresnel widths of an end.
+    The phase terms sign k z and sqrt(8) k rho (~1e10 rad at the LIGO arm, where double rounding would
+    cost ~1e-6 rad) are reduced mod 2 pi exactly, once per element of z and of rho.
     """
     z0, inside = stationary_point(model)
     width = 3.0 * fresnel_width(model)

@@ -286,7 +286,8 @@ _WIDTH = math.sqrt(1.0 / (2.0 * math.pi / LIGO_PRESET["scenario"]["wavelength_m"
 
 def _boundary_grid(z_edge):
     """rho = 1 m, z from -4 to +4 Fresnel widths around z_edge, in steps of 0.8 widths."""
-    return dict(rho_min_m=1.0, rho_max_m=1.0, rho_count=1, z_min_m=z_edge - 4 * _WIDTH, z_max_m=z_edge + 4 * _WIDTH, z_count=11)
+    z_min, z_max = z_edge - 4 * _WIDTH, z_edge + 4 * _WIDTH
+    return dict(rho_min_m=1.0, rho_max_m=1.0, rho_count=1, z_min_m=z_min, z_max_m=z_max, z_count=11)
 
 
 @pytest.mark.parametrize(

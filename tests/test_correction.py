@@ -280,7 +280,8 @@ def _grid_points(scenario):
 def test_array_calls_match_scalar_calls_bitwise(ligo_scenario, which):
     sc, t = ligo_scenario, 0.0
     if which == "complex_r":
-        sc = BeamScenario.from_si(power_w=3e3, wavelength_m=1.3e-6, w0_m=0.1, R_m=0.1, L_m=4000.0, r=0.7 * cmath.exp(2.1j))
+        r = 0.7 * cmath.exp(2.1j)
+        sc = BeamScenario.from_si(power_w=3e3, wavelength_m=1.3e-6, w0_m=0.1, R_m=0.1, L_m=4000.0, r=r)
         t = sc.units.time_from_si(1.7e-15)
     rho, z = _grid_points(sc)
     for sign in (+1, -1):
