@@ -50,7 +50,7 @@ class PhaseModel:
         finite = np.logical_and.reduce(np.isfinite(self.rho) & np.isfinite(self.z), axis=None)
         if not (finite and math.isfinite(self.k) and math.isfinite(self.L)):
             raise DomainError("rho, z, k and L must be finite")
-        if np.minimum.reduce(self.rho, axis=None) <= 0:
+        if np.minimum.reduce(self.rho, axis=None, initial=np.inf) <= 0:
             raise DomainError("rho must be positive (the integrand is axis-singular)")
         if self.k <= 0:
             raise DomainError("k must be positive")

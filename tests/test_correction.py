@@ -319,3 +319,9 @@ def test_numeric_array_call_matches_scalar_calls(toy_scenario):
         one = correction_at(rho[i], z[i], 0.4, toy_scenario, mode="numeric", tol=1e-8)
         assert (_bits([one.delta_ex, one.delta_by]) == _bits([array.delta_ex[i], array.delta_by[i]])).all()
     assert not array.low_accuracy.any()
+
+
+@pytest.mark.parametrize("mode", ["asymptotic", "numeric"])
+def test_empty_arrays_give_empty_fields(toy_scenario, mode):
+    corr = correction_at(np.zeros((0, 1)), np.ones(3), 0.0, toy_scenario, mode=mode)
+    assert corr.delta_ex.shape == corr.delta_by.shape == corr.low_accuracy.shape == (0, 3)
