@@ -108,15 +108,17 @@ def _cells(column, fmt: str, shape: tuple) -> tuple[str, np.ndarray | None]:
     return "%s", (text if text.shape == shape else np.broadcast_to(text, shape)).ravel()
 
 
-def _write_table(path: Path, columns: tuple[str, ...], shape: tuple, blocks: list[tuple], fmt: str) -> int:
-    """Write a CSV or JSON table over points of ``shape`` in bulk; returns its row count.
+def _write_table(path: Path, columns: tuple[str, ...], coords: tuple, blocks: list[tuple], fmt: str) -> int:
+    """Write a CSV or JSON table in bulk, point by point over the broadcast ``coords``; returns its row count.
 
-    ``blocks`` holds per kind of row its column values (each broadcasting to ``shape``) and the mask of the
-    points that have the row (None: all).  Rows go point by point, in block order.
+    ``blocks`` holds per kind of row the values of the columns after ``coords`` and the mask of the points
+    that have the row (None: all).  Within a point, rows follow the block order.
     """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     size, parts, csv, written = math.prod(shape), [], fmt == "csv", 0
+    lead = [_cells(c, fmt, shape) for c in coords]
     for cells, keep in blocks:
-        specs, args = zip(*(_cells(cell, fmt, shape) for cell in cells))
+        specs, args = zip(*lead, *(_cells(cell, fmt, shape) for cell in cells))
         template = ",".join(specs) if csv else "[\n      " + ",\n      ".join(specs) + "\n    ]"
         keep = np.ones(size, dtype=bool) if keep is None else keep.ravel()
         parts.append((template, [a for a in args if a is not None], keep))
@@ -378,12 +380,12 @@ def _each_point(units, rho_m, z_m, signs: tuple, evaluate, warn: list[str]) -> t
     return np.array([v or (0.0, 0.0) for v in values], dtype=complex).reshape(shape + (2,)), keep
 
 
-def _write_grid(out_dir: Path, fmt: str, columns: tuple, shape: tuple, blocks: list, report: dict, tail: dict):
+def _write_grid(out_dir: Path, fmt: str, columns: tuple, coords: tuple, blocks: list, report: dict, tail: dict):
     """Write the table and report (``report``, table keys, then ``tail``) of field or integrals; (report, exit code)."""
     name = report["subcommand"]
     converged = all(keep is None or keep.all() for _, keep in blocks)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = _write_table(out_dir / f"{name}_points.{fmt}", columns, shape, blocks, fmt)
+    count = _write_table(out_dir / f"{name}_points.{fmt}", columns, coords, blocks, fmt)
     report.update(points_table=f"{name}_points.{fmt}", point_count=count, converged=converged, **tail)
     _write_report(out_dir / f"{name}_report.json", report)
     return report, 0 if converged else 3
@@ -409,7 +411,7 @@ def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
     scale, blocks, si = units.field_to_si(1.0), [], {}  # si: mode -> re, im of dEx and of dBy in sqrt(W)/m
     for mode, (ex, by, low, keep) in fields.items():
         si[mode] = (*complex_times(scale, ex.real, ex.imag), *complex_times(scale, by.real, by.imag))
-        blocks.append(((rho_m, z_m, *si[mode], mode, low), keep))
+        blocks.append(((*si[mode], mode, low), keep))
     tail = {"warnings": warn}
     if len(fields) == 2:
         d = np.subtract(si["numeric"], si["asymptotic"])
@@ -424,7 +426,7 @@ def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
         "summary": _summary_block(scenario, warn),
         "field_unit": "sqrt(W)/m (power-equivalent amplitude)",
     }
-    return _write_grid(out_dir, fmt, _FIELD_COLUMNS, (rho_m.size, z_m.size), blocks, report, tail)
+    return _write_grid(out_dir, fmt, _FIELD_COLUMNS, (rho_m, z_m), blocks, report, tail)
 
 
 def run_pressure(config: dict, out_dir: Path) -> tuple[dict, int]:
@@ -466,13 +468,13 @@ def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
         if config["mode"] != "asymptotic":
             value, estimate = values[:, :, s, 0], values[:, :, s, 1].real
             cells = (value.real, value.imag, estimate, "numeric", z0_m, inside, False)
-            blocks.append(((rho_m, z_m, sign, *cells), keep[:, :, s]))
+            blocks.append(((sign, *cells), keep[:, :, s]))
         if config["mode"] != "numeric":
             res = eval_asymptotic(model)
             cells = (res.value.real, res.value.imag, res.error_estimate, "asymptotic", z0_m, inside, res.low_accuracy)
-            blocks.append(((rho_m, z_m, sign, *cells), None))
+            blocks.append(((sign, *cells), None))
     report = {"subcommand": "integrals", "config": config, "constants": _constants_block(scenario)}
-    return _write_grid(out_dir, fmt, _INTEGRAL_COLUMNS, (rho_m.size, z_m.size), blocks, report, {"warnings": warn})
+    return _write_grid(out_dir, fmt, _INTEGRAL_COLUMNS, (rho_m, z_m), blocks, report, {"warnings": warn})
 
 
 def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
@@ -524,8 +526,8 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
         "warnings": warn,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 3
-    _write_table(out_dir / table_name, ("k_rho", "deviation", "kind"), (len(rows),), [(columns, None)], fmt)
+    k_rho, *columns = [np.array(column) for column in zip(*rows)] if rows else [np.empty(0)] * 3
+    _write_table(out_dir / table_name, ("k_rho", "deviation", "kind"), (k_rho,), [(columns, None)], fmt)
     _write_report(out_dir / "validate_report.json", report)
     return report, 0 if converged else 3
 
