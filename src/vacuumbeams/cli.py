@@ -95,11 +95,8 @@ def _cells(column, fmt: str, shape: tuple) -> tuple[str, np.ndarray | None]:
     """printf conversion and flat arguments of a column: constants inline, one float per point raw, else text."""
     if not isinstance(column, np.ndarray):
         return (_fmt(column).strip('"') if fmt == "csv" else _fmt(column)).replace("%", "%%"), None
-    if column.dtype.kind == "f":
-        if not np.isfinite(column).all():
-            raise ValueError("reports must not contain non-finite numbers")
-        if column.size == math.prod(shape):
-            return "%.17g", column.ravel()
+    if column.dtype.kind == "f" and column.size == math.prod(shape):
+        return "%.17g", column.ravel()
     if column.dtype == bool:
         text = np.where(column, "true", "false")
     else:
@@ -122,6 +119,9 @@ def _write_table(path: Path, columns: tuple[str, ...], coords: tuple, blocks: li
         template = ",".join(specs) if csv else "[\n      " + ",\n      ".join(specs) + "\n    ]"
         keep = np.ones(size, dtype=bool) if keep is None else keep.ravel()
         parts.append((template, [a for a in args if a is not None], keep))
+    raw = [a for _, args, _ in parts for a in args if a.dtype.kind == "f"]  # text columns were checked by _fmt
+    if raw and not np.isfinite(np.concatenate(raw)).all():
+        raise ValueError("reports must not contain non-finite numbers")
     head = ",".join(columns) + "\n" if csv else '{\n  "columns": ' + dumps_report(list(columns), 1) + ',\n  "rows": ['
     first, sep = ("", "\n") if csv else ("\n    ", ",\n    ")  # before the first row, between rows
     with open(path, "w", encoding="utf-8") as f:

@@ -268,6 +268,17 @@ def test_dumps_report_rejects_non_finite():
         dumps_report({"bad": float("nan")})
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tables_reject_non_finite(tmp_path, bad):
+    import numpy as np
+
+    from vacuumbeams.cli import _write_table
+
+    for x, y in [(bad, 0.5), (2.0, bad)]:  # a coordinate and a value column
+        with pytest.raises(ValueError):
+            _write_table(tmp_path / "t.csv", ("x", "y"), (np.array([1.0, x]),), [((np.array([0.5, y]),), None)], "csv")
+
+
 def _ligo_field_rows(tmp_path, grid):
     doc = {"scenario": dict(LIGO_PRESET["scenario"]), "grid": grid, "mode": "asymptotic"}
     cfg = _write_config(tmp_path, doc)
