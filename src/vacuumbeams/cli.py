@@ -381,7 +381,7 @@ def _each_point(units, rho_m, z_m, signs: tuple, evaluate, warn: list[str]) -> t
 
 
 def _write_grid(out_dir: Path, fmt: str, columns: tuple, coords: tuple, blocks: list, report: dict, tail: dict):
-    """Write the table and report (``report``, table keys, then ``tail``) of field or integrals; (report, exit code)."""
+    """Write the table and report of field or integrals: ``report``'s keys, the table's, then ``tail``'s."""
     name = report["subcommand"]
     converged = all(keep is None or keep.all() for _, keep in blocks)
     out_dir.mkdir(parents=True, exist_ok=True)
