@@ -29,7 +29,6 @@ from .integrals import (
     eval_asymptotic,
     eval_numeric,
     fresnel_width,
-    phase_function,
     stationary_point,
 )
 from .pressure import (
@@ -43,7 +42,6 @@ from .pressure import (
 from .sources import NonlinearSources, delta_fields, drive_constant, standing_wave_sources
 from .units import (
     PhysicalConstants,
-    UnitMode,
     UnitSystem,
     amplitude_from_power,
     codata_constants,
@@ -66,7 +64,6 @@ __all__ = [
     "PhaseModel",
     "PhysicalConstants",
     "PressureReport",
-    "UnitMode",
     "UnitSystem",
     "UnsupportedGeometryError",
     "amplitude_from_power",
@@ -84,7 +81,6 @@ __all__ = [
     "fresnel_width",
     "gaussian_profile",
     "linear_field",
-    "phase_function",
     "poynting_correction_end",
     "poynting_cross_term",
     "pressure_correction_factor",

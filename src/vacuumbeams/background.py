@@ -22,9 +22,11 @@ import numpy as np
 from .errors import DomainError
 from .units import PhysicalConstants, UnitSystem, amplitude_from_power, codata_constants
 
+PARAXIAL_THRESHOLD = 0.1  # largest 1/(omega w0) of a collimated beam
+
 
 class CollimationWarning(UserWarning):
-    """The beam is not well collimated: 1/(omega w0) exceeds the threshold."""
+    """The beam is not well collimated: 1/(omega w0) exceeds ``PARAXIAL_THRESHOLD``."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class BeamScenario:
     r: complex
     units: UnitSystem
     constants: PhysicalConstants
-    paraxial_threshold: float = 0.1
 
     def __post_init__(self):
         for name in ("amplitude", "w0", "R", "L", "omega"):
@@ -60,10 +61,9 @@ class BeamScenario:
             raise DomainError("amplitude must be non-negative")
         if abs(self.r) > 1.0 + 1e-12:
             raise DomainError("|r| must not exceed 1")
-        if self.collimation > self.paraxial_threshold:
+        if self.collimation > PARAXIAL_THRESHOLD:
             warnings.warn(
-                f"1/(omega*w0) = {self.collimation:.3g} exceeds the paraxial "
-                f"threshold {self.paraxial_threshold:.3g}",
+                f"1/(omega*w0) = {self.collimation:.3g} exceeds the paraxial threshold {PARAXIAL_THRESHOLD:.3g}",
                 CollimationWarning,
                 stacklevel=3,
             )
@@ -80,7 +80,6 @@ class BeamScenario:
         power_w: float | None = None,
         amplitude_si: float | None = None,
         constants: PhysicalConstants | None = None,
-        paraxial_threshold: float = 0.1,
     ) -> "BeamScenario":
         """Build a scenario from SI inputs.
 
@@ -109,7 +108,6 @@ class BeamScenario:
             r=complex(r),
             units=units,
             constants=consts,
-            paraxial_threshold=paraxial_threshold,
         )
 
     @property

@@ -25,9 +25,8 @@ import numpy as np
 from .background import BeamScenario
 from .correction import complex_times, cone_geometry, correction_at, dimensionless_ratio
 from .errors import ConfigError, ConvergenceError, DomainError, UnsupportedGeometryError
-from .integrals import DEFAULT_MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric, stationary_point
+from .integrals import DEFAULT_MAX_NODES, MAX_NODES, PhaseModel, eval_asymptotic, eval_numeric, stationary_point
 from .pressure import classical_force, pressure_report
-from .units import codata_constants
 
 # Externally quoted reference values, reported side by side with computed ones.
 QUOTED_ELECTRON_RADIUS_M = 2.8e-15
@@ -143,168 +142,136 @@ def _write_table(path: Path, columns: tuple[str, ...], coords: tuple, blocks: li
 # config validation
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}", "unknown key")
+_REQUIRED = object()  # the default of a key that must be given
+# section -> key -> (type, bound, default), in report order.  A float must be finite and its bound is
+# "positive", "non-negative" or None; an int's bound is its minimum; a list holds positive numbers
+# and must not be empty.  A default of None leaves an absent key out of the normalized config.
+_SCHEMA = {
+    "scenario": {
+        "power_w": (float, "non-negative", None),
+        "amplitude_sqrt_w_per_m": (float, "non-negative", None),
+        "wavelength_m": (float, "positive", _REQUIRED),
+        "w0_m": (float, "positive", _REQUIRED),
+        "R_m": (float, "positive", _REQUIRED),
+        "L_m": (float, "positive", _REQUIRED),
+        "r_modulus": (float, "non-negative", 1.0),
+        "r_phase_rad": (float, None, 0.0),
+    },
+    "grid": {
+        "rho_min_m": (float, "positive", _REQUIRED),
+        "rho_max_m": (float, "positive", _REQUIRED),
+        "rho_count": (int, 1, _REQUIRED),
+        "z_min_m": (float, None, _REQUIRED),
+        "z_max_m": (float, None, _REQUIRED),
+        "z_count": (int, 1, _REQUIRED),
+        "t_s": (float, None, 0.0),
+    },
+    "sweep": {
+        "rho_m": (float, "positive", _REQUIRED),
+        "z_m": (float, None, _REQUIRED),
+        "k_rho_values": (list, None, []),
+    },
+}
 
 
-def _get_float(obj: dict, key: str, where: str, *, positive=False, nonneg=False, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}.{key}", "missing required value")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}", "must be a number")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _value(field: str, value, kind: type, bound):
+    """One config value checked against its schema entry, converted to ``kind``."""
+    if kind is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(field, "must be a non-empty list")
+        for i, v in enumerate(value):
+            if not _is_number(v) or not math.isfinite(v) or v <= 0:
+                raise ConfigError(f"{field}[{i}]", "must be a positive number")
+        return [float(v) for v in value]
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(field, "must be an integer")
+        if value < bound:
+            raise ConfigError(field, f"must be >= {bound}")
+        return value
+    if not _is_number(value):
+        raise ConfigError(field, "must be a number")
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key}", "must be finite")
-    if positive and value <= 0:
-        raise ConfigError(f"{where}.{key}", "must be positive")
-    if nonneg and value < 0:
-        raise ConfigError(f"{where}.{key}", "must be non-negative")
+        raise ConfigError(field, "must be finite")
+    if (bound == "positive" and value <= 0) or (bound == "non-negative" and value < 0):
+        raise ConfigError(field, f"must be {bound}")
     return value
 
 
-def _get_int(obj: dict, key: str, where: str, *, minimum: int) -> int:
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}", "missing required value")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}", "must be an integer")
-    if value < minimum:
-        raise ConfigError(f"{where}.{key}", f"must be >= {minimum}")
-    return value
-
-
-def _validate_scenario(doc: dict) -> dict:
-    if "scenario" not in doc or not isinstance(doc["scenario"], dict):
-        raise ConfigError("scenario", "missing required section")
-    sc = doc["scenario"]
-    _check_keys(
-        sc,
-        ("power_w", "amplitude_sqrt_w_per_m", "wavelength_m", "w0_m", "R_m", "L_m", "r_modulus", "r_phase_rad"),
-        "scenario",
-    )
-    has_power = "power_w" in sc
-    has_amp = "amplitude_sqrt_w_per_m" in sc
-    if has_power == has_amp:
-        raise ConfigError("scenario.power_w", "give exactly one of power_w or amplitude_sqrt_w_per_m")
+def _section(doc: dict, name: str) -> dict:
+    """Section ``name`` of ``doc`` checked against the schema, with defaults filled, in report order."""
+    obj = doc[name]
+    if not isinstance(obj, dict):
+        raise ConfigError(name, "must be an object")
+    for key in obj:
+        if key not in _SCHEMA[name]:
+            raise ConfigError(f"{name}.{key}", "unknown key")
     out = {}
-    if has_power:
-        out["power_w"] = _get_float(sc, "power_w", "scenario", nonneg=True)
-    else:
-        out["amplitude_sqrt_w_per_m"] = _get_float(sc, "amplitude_sqrt_w_per_m", "scenario", nonneg=True)
-    out["wavelength_m"] = _get_float(sc, "wavelength_m", "scenario", positive=True)
-    out["w0_m"] = _get_float(sc, "w0_m", "scenario", positive=True)
-    out["R_m"] = _get_float(sc, "R_m", "scenario", positive=True)
-    out["L_m"] = _get_float(sc, "L_m", "scenario", positive=True)
-    out["r_modulus"] = _get_float(sc, "r_modulus", "scenario", nonneg=True, default=1.0)
-    if out["r_modulus"] > 1.0:
-        raise ConfigError("scenario.r_modulus", "must not exceed 1")
-    out["r_phase_rad"] = _get_float(sc, "r_phase_rad", "scenario", default=0.0)
+    for key, (kind, bound, default) in _SCHEMA[name].items():
+        if key not in obj and default is _REQUIRED:
+            raise ConfigError(f"{name}.{key}", "missing required value")
+        if key in obj or default is not None:
+            out[key] = _value(f"{name}.{key}", obj.get(key, default), kind, bound)
     return out
-
-
-def _validate_grid(doc: dict, wavelength_m: float) -> dict | None:
-    if "grid" not in doc:
-        return None
-    grid = doc["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError("grid", "must be an object")
-    _check_keys(
-        grid,
-        ("rho_min_m", "rho_max_m", "rho_count", "z_min_m", "z_max_m", "z_count", "t_s"),
-        "grid",
-    )
-    out = {
-        "rho_min_m": _get_float(grid, "rho_min_m", "grid", positive=True),
-        "rho_max_m": _get_float(grid, "rho_max_m", "grid", positive=True),
-        "rho_count": _get_int(grid, "rho_count", "grid", minimum=1),
-        "z_min_m": _get_float(grid, "z_min_m", "grid"),
-        "z_max_m": _get_float(grid, "z_max_m", "grid"),
-        "z_count": _get_int(grid, "z_count", "grid", minimum=1),
-        "t_s": _get_float(grid, "t_s", "grid", default=0.0),
-    }
-    min_rho = wavelength_m / 1e3
-    if out["rho_min_m"] < min_rho:
-        raise ConfigError("grid.rho_min_m", f"must be >= wavelength/1e3 = {min_rho:.3e} m (axis singularity)")
-    if out["rho_max_m"] < out["rho_min_m"]:
-        raise ConfigError("grid.rho_max_m", "must be >= rho_min_m")
-    if out["z_max_m"] < out["z_min_m"]:
-        raise ConfigError("grid.z_max_m", "must be >= z_min_m")
-    if out["rho_count"] * out["z_count"] > MAX_GRID_POINTS:
-        raise ConfigError("grid.z_count", f"rho_count * z_count must not exceed {MAX_GRID_POINTS}")
-    return out
-
-
-def _validate_sweep(doc: dict) -> dict | None:
-    if "sweep" not in doc:
-        return None
-    sweep = doc["sweep"]
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep", "must be an object")
-    _check_keys(sweep, ("rho_m", "z_m", "k_rho_values"), "sweep")
-    values = sweep.get("k_rho_values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.k_rho_values", "must be a non-empty list")
-    out_values = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)) or v <= 0:
-            raise ConfigError(f"sweep.k_rho_values[{i}]", "must be a positive number")
-        out_values.append(float(v))
-    return {
-        "rho_m": _get_float(sweep, "rho_m", "sweep", positive=True),
-        "z_m": _get_float(sweep, "z_m", "sweep"),
-        "k_rho_values": out_values,
-    }
 
 
 def validate_config(doc: dict) -> dict:
     """Strict validation; returns a normalized config with defaults filled."""
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
-    _check_keys(doc, ("scenario", "grid", "mode", "tol", "max_nodes", "sweep"), "config")
-    scenario = _validate_scenario(doc)
+    for key in doc:
+        if key not in ("mode", "tol", "max_nodes", *_SCHEMA):
+            raise ConfigError(f"config.{key}", "unknown key")
+    if "scenario" not in doc:
+        raise ConfigError("scenario", "missing required section")
+    scenario = _section(doc, "scenario")
+    if ("power_w" in scenario) == ("amplitude_sqrt_w_per_m" in scenario):
+        raise ConfigError("scenario.power_w", "give exactly one of power_w or amplitude_sqrt_w_per_m")
+    if scenario["r_modulus"] > 1.0:
+        raise ConfigError("scenario.r_modulus", "must not exceed 1")
     mode = doc.get("mode", "asymptotic")
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
-    tol = _get_float(doc, "tol", "config", default=1e-9)
+    tol = _value("config.tol", doc.get("tol", 1e-9), float, None)
     if not (1e-14 < tol < 1e-2):
         raise ConfigError("tol", "must lie in (1e-14, 1e-2)")
     max_nodes = doc.get("max_nodes", DEFAULT_MAX_NODES)
     if isinstance(max_nodes, bool) or not isinstance(max_nodes, int) or max_nodes < 2:
         raise ConfigError("max_nodes", "must be an integer >= 2")
-    out = {"scenario": scenario, "mode": mode, "tol": tol, "max_nodes": max_nodes}
-    grid = _validate_grid(doc, scenario["wavelength_m"])
-    if grid is not None:
-        out["grid"] = grid
-    sweep = _validate_sweep(doc)
-    if sweep is not None:
-        out["sweep"] = sweep
-    return out
+    if max_nodes > MAX_NODES:
+        raise ConfigError("max_nodes", f"must not exceed {MAX_NODES}")
+    config = {"scenario": scenario, "mode": mode, "tol": tol, "max_nodes": max_nodes}
+    if "grid" in doc:
+        config["grid"] = grid = _section(doc, "grid")
+        min_rho = scenario["wavelength_m"] / 1e3
+        if grid["rho_min_m"] < min_rho:
+            raise ConfigError("grid.rho_min_m", f"must be >= wavelength/1e3 = {min_rho:.3e} m (axis singularity)")
+        if grid["rho_max_m"] < grid["rho_min_m"]:
+            raise ConfigError("grid.rho_max_m", "must be >= rho_min_m")
+        if grid["z_max_m"] < grid["z_min_m"]:
+            raise ConfigError("grid.z_max_m", "must be >= z_min_m")
+        if grid["rho_count"] * grid["z_count"] > MAX_GRID_POINTS:
+            raise ConfigError("grid.z_count", f"rho_count * z_count must not exceed {MAX_GRID_POINTS}")
+    if "sweep" in doc:
+        config["sweep"] = _section(doc, "sweep")
+    return config
 
 
 def build_scenario(config: dict) -> tuple[BeamScenario, list[str]]:
     """Construct the natural-unit scenario, collecting warning diagnostics."""
     sc = config["scenario"]
     r = sc["r_modulus"] * complex(math.cos(sc["r_phase_rad"]), math.sin(sc["r_phase_rad"]))
-    kwargs = dict(
-        wavelength_m=sc["wavelength_m"],
-        w0_m=sc["w0_m"],
-        R_m=sc["R_m"],
-        L_m=sc["L_m"],
-        r=r,
-        constants=codata_constants(),
-    )
-    if "power_w" in sc:
-        kwargs["power_w"] = sc["power_w"]
-    else:
-        kwargs["amplitude_si"] = sc["amplitude_sqrt_w_per_m"]
+    power = {"power_w": sc["power_w"]} if "power_w" in sc else {"amplitude_si": sc["amplitude_sqrt_w_per_m"]}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scenario = BeamScenario.from_si(**kwargs)
+        scenario = BeamScenario.from_si(
+            wavelength_m=sc["wavelength_m"], w0_m=sc["w0_m"], R_m=sc["R_m"], L_m=sc["L_m"], r=r, **power
+        )
     return scenario, [str(w.message) for w in caught]
 
 
@@ -482,17 +449,12 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
     if "sweep" not in config:
         raise ConfigError("sweep", "missing required section for the validate subcommand")
     sweep = config["sweep"]
-    rho_m = sweep["rho_m"]
-    z_m = sweep["z_m"]
+    rho_m, z_m = sweep["rho_m"], sweep["z_m"]
     base_scenario, warn = build_scenario(config)
-    rows = []
-    converged = True
+    rows, converged = [], True
     for k_rho in sweep["k_rho_values"]:
-        k_si = k_rho / rho_m
-        wavelength_m = 2.0 * math.pi / k_si
-        variant = dict(config["scenario"])
-        variant["wavelength_m"] = wavelength_m
-        scenario, extra = build_scenario({**config, "scenario": variant})
+        wavelength_m = 2.0 * math.pi / (k_rho / rho_m)
+        scenario, extra = build_scenario({**config, "scenario": {**config["scenario"], "wavelength_m": wavelength_m}})
         warn.extend(f"k_rho={k_rho:.6g}: {message}" for message in extra)
         units = scenario.units
         model = PhaseModel(units.length_from_si(rho_m), units.length_from_si(z_m), scenario.k, scenario.L, +1)
@@ -510,8 +472,7 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
             deviation = abs(num.value)
             kind = "abs_numeric_modulus"
         rows.append((k_rho, deviation, kind))
-    relative = [(k, d) for k, d, kind in rows if kind == "relative"]
-    relative.sort(key=lambda item: item[0])
+    relative = sorted(((k, d) for k, d, kind in rows if kind == "relative"), key=lambda item: item[0])
     trend_ok = all(d2 <= 1.2 * d1 for (_, d1), (_, d2) in zip(relative, relative[1:]))
     if not trend_ok:
         warn.append("numeric-vs-asymptotic deviation is not non-increasing over the sweep")
@@ -532,17 +493,7 @@ def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int
     return report, 0 if converged else 3
 
 
-def run_preset(name: str, override: dict | None, out_dir: Path) -> tuple[dict, int]:
-    if name != "ligo":
-        raise ConfigError("preset", f"unknown preset {name!r}")
-    doc = {key: (dict(value) if isinstance(value, dict) else value) for key, value in LIGO_PRESET.items()}
-    if override:
-        for key, value in override.items():
-            if key == "scenario" and isinstance(value, dict):
-                doc["scenario"].update(value)
-            else:
-                doc[key] = value
-    config = validate_config(doc)
+def run_preset(config: dict, out_dir: Path, name: str) -> tuple[dict, int]:
     scenario, warn = build_scenario(config)
     report = {
         "subcommand": "preset",
@@ -560,6 +511,16 @@ def run_preset(name: str, override: dict | None, out_dir: Path) -> tuple[dict, i
 # ---------------------------------------------------------------------------
 # entry point
 
+_PRESETS = {"ligo": LIGO_PRESET}
+# subcommand -> (runner, the arguments it takes after the config and the output directory)
+_COMMANDS = {
+    "field": (run_field, ("format",)),
+    "pressure": (run_pressure, ()),
+    "integrals": (run_integrals, ("format",)),
+    "validate": (validate_integrals, ("format",)),
+    "preset": (run_preset, ("name",)),
+}
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -572,51 +533,45 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
 
 
+def _merge(base: dict, doc, flags: dict) -> dict:
+    """The config document ``doc`` over ``base`` (its scenario key by key), and the given flags over both."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config", "top level must be an object")
+    merged = {**base, **doc, **flags}
+    if "scenario" in base and isinstance(doc.get("scenario"), dict):
+        merged["scenario"] = {**base["scenario"], **doc["scenario"]}
+    return merged
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vacuumbeams",
         description="Quantum-vacuum corrections for counter-propagating beams",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("field", "pressure", "integrals", "validate"):
+    for name, (_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON scenario config")
+        if "name" in arguments:
+            p.add_argument("name", choices=tuple(_PRESETS))
+            p.add_argument("--config", help="optional JSON overrides merged onto the preset")
+        else:
+            p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--mode", choices=_MODES, help="override config mode")
         p.add_argument("--tol", type=float, help="override integral tolerance")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=_FORMATS, default="csv", help="per-point table format")
-    p = sub.add_parser("preset")
-    p.add_argument("name", choices=("ligo",))
-    p.add_argument("--config", help="optional JSON overrides merged onto the preset")
-    p.add_argument("--mode", choices=_MODES, help="override config mode")
-    p.add_argument("--tol", type=float, help="override integral tolerance")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=_FORMATS, default="csv", help="per-point table format")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out_dir = Path(args.out)
+    runner, arguments = _COMMANDS[args.subcommand]
+    base = _PRESETS[args.name] if args.subcommand == "preset" else {}
+    flags = {key: getattr(args, key) for key in ("mode", "tol") if getattr(args, key) is not None}
     try:
-        if args.subcommand == "preset":
-            override = _load_config(args.config) if args.config else None
-            _, code = run_preset(args.name, override, out_dir)
-            return code
-        doc = _load_config(args.config)
-        if args.mode is not None:
-            doc["mode"] = args.mode
-        if args.tol is not None:
-            doc["tol"] = args.tol
-        config = validate_config(doc)
-        if args.subcommand == "field":
-            _, code = run_field(config, out_dir, args.format)
-        elif args.subcommand == "pressure":
-            _, code = run_pressure(config, out_dir)
-        elif args.subcommand == "integrals":
-            _, code = run_integrals(config, out_dir, args.format)
-        else:
-            _, code = validate_integrals(config, out_dir, args.format)
+        doc = _load_config(args.config) if args.config else {}
+        config = validate_config(_merge(base, doc, flags))
+        _, code = runner(config, Path(args.out), *(getattr(args, a) for a in arguments))
         return code
     except (ConfigError, DomainError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

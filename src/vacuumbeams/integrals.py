@@ -70,22 +70,6 @@ class IntegralResult:
     low_accuracy: bool = False
 
 
-def phase_function(model: PhaseModel, zp):
-    """Phase w and its first two derivatives at z' (scalar or array).
-
-    w = sign*z' + 3 s;  w' = sign + 3 (z'-z)/s;  w'' = 3 rho^2 / s^3.
-    """
-    zp = np.asarray(zp, dtype=float)
-    d = zp - model.z
-    s = np.hypot(model.rho, d)
-    w = model.sign * zp + 3.0 * s
-    w1 = model.sign + 3.0 * d / s
-    w2 = 3.0 * model.rho**2 / s**3
-    if zp.ndim == 0:
-        return float(w), float(w1), float(w2)
-    return w, w1, w2
-
-
 def _unwrap(a):
     """A 0-d result as a Python scalar, any other as the array."""
     a = np.asarray(a)
@@ -152,6 +136,7 @@ _TWO_PI_LD = 2.0 * np.longdouble("3.141592653589793238462643383279502884")
 _CUT_PHASE = 30.0  # k T^2 (rad) at the cuts t = +/-T of the real piece
 _FIRST_RULE = 16  # nodes per piece of the coarser rule in the first n/2n pair
 DEFAULT_MAX_NODES = 1024  # node budget per piece of eval_numeric, also the CLI default
+MAX_NODES = 4096  # largest budget: each doubling solves a dense n x n eigenproblem, ~8x the time of the last
 _EPS, _EPS_LD = float(np.finfo(float).eps), float(np.finfo(np.longdouble).eps)
 
 
@@ -272,12 +257,12 @@ def eval_numeric(model: PhaseModel, tol: float = 1e-9, max_nodes: int = DEFAULT_
     floors: 50 eps times the sum of the terms' moduli (QUADPACK's floor), and
     the extended-precision rounding of the phases k*w times the sum of the
     pieces' moduli.  Raises :class:`ConvergenceError` carrying the best value
-    when 2n would exceed ``max_nodes``.
+    when 2n would exceed ``max_nodes``, which may not exceed ``MAX_NODES``.
     """
     if not (1e-14 < tol < 1e-2):
         raise DomainError("tol must lie in (1e-14, 1e-2)")
-    if max_nodes < 2:
-        raise DomainError("max_nodes must be at least 2")
+    if not 2 <= max_nodes <= MAX_NODES:
+        raise DomainError(f"max_nodes must lie in [2, {MAX_NODES}]")
     z0, inside = stationary_point(model)
     if model.L == 0.0:
         return IntegralResult(0.0 + 0.0j, "numeric", 0.0, z0, inside)

@@ -11,8 +11,8 @@ literally, which selects the third-harmonic component exactly; the
 fundamental-frequency part of the real-field cube is excluded by that
 convention.
 
-The coupling lambda is factored out of everything stored here: ``rho0`` and
-``j0`` are per unit lambda, and the single multiplication by lambda happens in
+The coupling lambda is factored out of everything stored here: ``j0`` is per
+unit lambda, and the single multiplication by lambda happens in
 :mod:`vacuumbeams.correction`.
 """
 
@@ -40,22 +40,21 @@ def delta_fields(e: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NonlinearSources:
     """Closed-form sources for the standing-wave background at one point.
 
-    ``rho0`` and ``j0`` carry the effective density and current per unit
-    coupling lambda (the 1/4pi of their definitions is included).
+    ``j0`` carries the effective current per unit coupling lambda (the 1/4pi
+    of its definition is included); the effective density vanishes in the
+    same bookkeeping.
     """
 
     delta_e: np.ndarray
     delta_b: np.ndarray
-    rho0: complex
     j0: np.ndarray
 
 
 def standing_wave_sources(rho: float, z: float, t: float, scenario: BeamScenario) -> NonlinearSources:
-    """Closed-form dE, dB and per-lambda (rho0, j0) for the standing wave.
+    """Closed-form dE, dB and per-lambda j0 for the standing wave.
 
     Keeps only terms of order omega in the curl (the transverse-gradient
-    contribution, of relative order 1/(omega w0), is dropped); rho0 vanishes
-    in the same bookkeeping.
+    contribution, of relative order 1/(omega w0), is dropped).
     """
     u3 = gaussian_profile(rho, scenario) ** 3
     r = scenario.r
@@ -67,7 +66,7 @@ def standing_wave_sources(rho: float, z: float, t: float, scenario: BeamScenario
     delta_b = np.array([0.0, base * (plus - minus), 0.0], dtype=complex)
     j0x = (-16j * r * scenario.omega * osc3 * u3 * (plus + minus)) / (4.0 * math.pi)
     j0 = np.array([j0x, 0.0, 0.0], dtype=complex)
-    return NonlinearSources(delta_e=delta_e, delta_b=delta_b, rho0=0.0 + 0.0j, j0=j0)
+    return NonlinearSources(delta_e=delta_e, delta_b=delta_b, j0=j0)
 
 
 def drive_constant(scenario: BeamScenario) -> complex:

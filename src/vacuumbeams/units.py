@@ -18,7 +18,6 @@ convention is defined; everything else converts through UnitSystem.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -95,21 +94,14 @@ def codata_constants() -> PhysicalConstants:
     return derive_constants()
 
 
-class UnitMode(enum.Enum):
-    NATURAL_GAUSSIAN = "natural_gaussian"
-    SI = "si"
-
-
 @dataclass(frozen=True)
 class UnitSystem:
-    """Multiplicative factors taking this system's values to SI.
+    """Multiplicative factors taking natural-unit values to SI.
 
-    For the natural system the factors are the scales listed in the module
-    docstring; for SI they are all 1.  Round trips are exact inverses up to
-    floating point.
+    The factors are the scales listed in the module docstring.  Round trips
+    are exact inverses up to floating point.
     """
 
-    mode: UnitMode
     field_amplitude: float  # sqrt(W)/m per field unit
     length: float  # m per length unit
     time: float  # s per time unit
@@ -118,16 +110,11 @@ class UnitSystem:
     @classmethod
     def natural(cls, constants: PhysicalConstants) -> "UnitSystem":
         return cls(
-            mode=UnitMode.NATURAL_GAUSSIAN,
             field_amplitude=math.sqrt(constants.p_e) / constants.length_m,
             length=constants.length_m,
             time=constants.time_s,
             power=constants.p_e,
         )
-
-    @classmethod
-    def si(cls) -> "UnitSystem":
-        return cls(UnitMode.SI, 1.0, 1.0, 1.0, 1.0)
 
     def length_to_si(self, x: float) -> float:
         return x * self.length

@@ -157,14 +157,6 @@ def test_scenario_warns_when_not_collimated(constants, natural_units):
         _scenario(constants, natural_units, w0=5.0)
 
 
-def test_scenario_threshold_configurable(constants, natural_units):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _scenario(constants, natural_units, w0=5.0, paraxial_threshold=0.5)
-
-
 def test_field_sample_rejects_non_finite():
     from vacuumbeams import FieldSample
 

@@ -129,7 +129,7 @@ CASES = [
     (_set(None, extra={}), "config.extra", "unknown key"),
     (_set(None, max_segments=64), "config.max_segments", "unknown key"),
     (_drop(None, "scenario"), "scenario", "missing required section"),
-    (_set(None, scenario=[1.0]), "scenario", "missing required section"),
+    (_set(None, scenario=[1.0]), "scenario", "must be an object"),
     (_set(None, mode="sideways"), "mode", _MODE),
     (_set(None, mode=1), "mode", _MODE),
     (_set(None, tol="1e-9"), "config.tol", "must be a number"),
@@ -140,6 +140,7 @@ CASES = [
     (_set(None, max_nodes=1), "max_nodes", _INT_BELOW),
     (_set(None, max_nodes=16.0), "max_nodes", _INT_BELOW),
     (_set(None, max_nodes=True), "max_nodes", _INT_BELOW),
+    (_set(None, max_nodes=4097), "max_nodes", "must not exceed 4096"),
     # scenario
     (_set("scenario", unknown_key=1.0), "scenario.unknown_key", "unknown key"),
     (_set("scenario", amplitude_sqrt_w_per_m=1.0), "scenario.power_w", _ONE_POWER),
@@ -228,16 +229,32 @@ def test_bad_config_exits_2_with_exact_message(tmp_path, capsys, mutate, field, 
     "argv,doc,line",
     [
         (["field"], [FULL], "config: top level must be an object"),
+        (["field", "--mode", "numeric"], [FULL], "config: top level must be an object"),
+        (["field", "--tol", "1e-8"], [FULL], "config: top level must be an object"),
+        (["preset", "ligo"], [FULL], "config: top level must be an object"),
+        (["preset", "ligo"], [], "config: top level must be an object"),
+        (["preset", "ligo", "--tol", "0.5"], None, "tol: must lie in (1e-14, 1e-2)"),
+        (["preset", "ligo", "--mode", "numeric", "--tol", "nan"], {}, "config.tol: must be finite"),
         (["field", "--tol", "0.5"], FULL, "tol: must lie in (1e-14, 1e-2)"),
         (["field"], _without(FULL, "grid"), "grid: missing required section for the field subcommand"),
         (["integrals"], _without(FULL, "grid"), "grid: missing required section for the integrals subcommand"),
         (["validate"], _without(FULL, "sweep"), "sweep: missing required section for the validate subcommand"),
         (["preset", "ligo"], {"scenario": {"r_modulus": 2.0}}, "scenario.r_modulus: must not exceed 1"),
-        (["preset", "ligo"], {"scenario": {"power_w": 1.0, "amplitude_sqrt_w_per_m": 1.0}}, f"scenario.power_w: {_ONE_POWER}"),
-        (["preset", "ligo"], {"scenario": None}, "scenario: missing required section"),
+        (["preset", "ligo"], {"scenario": {"amplitude_sqrt_w_per_m": 1.0}}, f"scenario.power_w: {_ONE_POWER}"),
+        (["preset", "ligo"], {"scenario": None}, "scenario: must be an object"),
         (["preset", "ligo"], {"grid": 3}, "grid: must be an object"),
         (["preset", "ligo"], {"mode": "fast"}, f"mode: {_MODE}"),
     ],
 )
 def test_cli_paths_exit_2_with_exact_message(tmp_path, capsys, argv, doc, line):
     assert _run(tmp_path, capsys, argv, doc) == (2, f"invalid config: {line}\n", False)
+
+
+def test_max_nodes_bound_is_inclusive():
+    assert validate_config({**FULL, "max_nodes": 4096})["max_nodes"] == 4096
+
+
+def test_preset_applies_mode_and_tol_flags(tmp_path, capsys):
+    code, err, _ = _run(tmp_path, capsys, ["preset", "ligo", "--mode", "both", "--tol", "1e-8"])
+    config = json.loads((tmp_path / "out" / "ligo_report.json").read_text())["config"]
+    assert (code, err, config["mode"], config["tol"]) == (0, "", "both", 1e-8)

@@ -12,17 +12,24 @@ from vacuumbeams import (
     eval_asymptotic,
     eval_numeric,
     fresnel_width,
-    phase_function,
     stationary_point,
 )
+from vacuumbeams.integrals import MAX_NODES
 
 ROOT8 = math.sqrt(8.0)
+
+
+def _phase(m, zp):
+    """Phase w = sign z' + 3 s of the axial integrand and its derivatives w' and w''."""
+    d = zp - m.z
+    s = math.hypot(m.rho, d)
+    return m.sign * zp + 3.0 * s, m.sign + 3.0 * d / s, 3.0 * m.rho**2 / s**3
 
 
 def test_phase_at_closest_approach():
     for sign in (+1, -1):
         m = PhaseModel(rho=2.0, z=5.0, k=3.0, L=20.0, sign=sign)
-        w, w1, _ = phase_function(m, 5.0)
+        w, w1, _ = _phase(m, 5.0)
         np.testing.assert_allclose(w, sign * 5.0 + 3.0 * 2.0, rtol=1e-15)
         np.testing.assert_allclose(w1, sign * 1.0, rtol=1e-15)
 
@@ -31,18 +38,10 @@ def test_phase_stationary_point_derivatives():
     m = PhaseModel(rho=2.0, z=5.0, k=3.0, L=20.0, sign=+1)
     z0, _ = stationary_point(m)
     assert z0 == 5.0 - 2.0 / ROOT8
-    w, w1, w2 = phase_function(m, z0)
+    w, w1, w2 = _phase(m, z0)
     assert abs(w1) < 1e-14
     np.testing.assert_allclose(w2, 16.0 * math.sqrt(2.0) / (9.0 * 2.0), rtol=1e-12)
     np.testing.assert_allclose(w, 5.0 + ROOT8 * 2.0, rtol=1e-14)
-
-
-def test_phase_function_vectorized():
-    m = PhaseModel(rho=1.0, z=2.0, k=1.0, L=10.0, sign=-1)
-    zp = np.linspace(0.0, 10.0, 17)
-    w, w1, w2 = phase_function(m, zp)
-    assert w.shape == w1.shape == w2.shape == zp.shape
-    assert np.all(np.diff(w1) > 0)  # w' strictly increasing
 
 
 @pytest.mark.parametrize(
@@ -92,6 +91,9 @@ def test_numeric_tol_domain():
     for tol in (1e-15, 1e-1, 0.5):
         with pytest.raises(DomainError):
             eval_numeric(m, tol=tol)
+    for max_nodes in (1, MAX_NODES + 1):
+        with pytest.raises(DomainError):
+            eval_numeric(m, max_nodes=max_nodes)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

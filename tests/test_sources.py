@@ -72,11 +72,6 @@ def test_duality_antisymmetry():
         np.testing.assert_allclose(de_dual, -db, rtol=1e-12)
 
 
-def test_sources_density_vanishes(toy_scenario):
-    src = standing_wave_sources(700.0, 3.0, 0.5, toy_scenario)
-    assert src.rho0 == 0.0
-
-
 def test_sources_vanish_without_reflection(constants, natural_units):
     sc = BeamScenario(
         amplitude=1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vacuumbeams import DomainError, amplitude_from_power, derive_constants
-from vacuumbeams.units import UnitMode, UnitSystem
+from vacuumbeams.units import UnitSystem
 
 
 def test_lambda_coupling_value(constants):
@@ -89,10 +89,3 @@ def test_round_trip_conversions(natural_units):
             (natural_units.field_to_si, natural_units.field_from_si),
         ]:
             np.testing.assert_allclose(from_si(to_si(x)), x, rtol=1e-12)
-
-
-def test_si_system_is_identity():
-    si = UnitSystem.si()
-    assert si.mode is UnitMode.SI
-    assert si.length_to_si(3.5) == 3.5
-    assert si.power_from_si(2.0) == 2.0
