@@ -317,11 +317,9 @@ def _summary_block(scenario: BeamScenario, warnings_list: list[str]) -> dict:
     return summary
 
 
-def _grid(config: dict, subcommand: str) -> tuple[BeamScenario, list[str], np.ndarray, np.ndarray]:
+def _grid(config: dict) -> tuple[BeamScenario, list[str], np.ndarray, np.ndarray]:
     """Scenario, its warnings, and the grid in metres as a rho column and a z row."""
     scenario, warn = build_scenario(config)
-    if "grid" not in config:
-        raise ConfigError("grid", f"missing required section for the {subcommand} subcommand")
     grid = config["grid"]
     rho_m = np.linspace(grid["rho_min_m"], grid["rho_max_m"], grid["rho_count"])[:, None]
     return scenario, warn, rho_m, np.linspace(grid["z_min_m"], grid["z_max_m"], grid["z_count"])
@@ -360,7 +358,7 @@ def _write_grid(out_dir: Path, fmt: str, columns: tuple, coords: tuple, blocks: 
 
 def run_field(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
     """Grid evaluation of the correction field; returns (report, exit_code)."""
-    scenario, warn, rho_m, z_m = _grid(config, "field")
+    scenario, warn, rho_m, z_m = _grid(config)
     units = scenario.units
     t = units.time_from_si(config["grid"]["t_s"])
     fields = {}  # mode -> dEx, dBy (natural units), low_accuracy, mask of rows kept
@@ -418,7 +416,7 @@ def run_pressure(config: dict, out_dir: Path) -> tuple[dict, int]:
 
 
 def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
-    scenario, warn, rho_m, z_m = _grid(config, "integrals")
+    scenario, warn, rho_m, z_m = _grid(config)
     units = scenario.units
     if config["mode"] != "asymptotic":
 
@@ -446,12 +444,12 @@ def run_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
 
 def validate_integrals(config: dict, out_dir: Path, fmt: str) -> tuple[dict, int]:
     """Sweep k*rho; tabulate numeric-vs-asymptotic deviation and check the trend."""
-    if "sweep" not in config:
-        raise ConfigError("sweep", "missing required section for the validate subcommand")
     sweep = config["sweep"]
-    rho_m, z_m = sweep["rho_m"], sweep["z_m"]
+    rho_m = sweep["rho_m"]
+    z_m = sweep["z_m"]
     base_scenario, warn = build_scenario(config)
-    rows, converged = [], True
+    rows = []
+    converged = True
     for k_rho in sweep["k_rho_values"]:
         wavelength_m = 2.0 * math.pi / (k_rho / rho_m)
         scenario, extra = build_scenario({**config, "scenario": {**config["scenario"], "wavelength_m": wavelength_m}})
@@ -512,13 +510,14 @@ def run_preset(config: dict, out_dir: Path, name: str) -> tuple[dict, int]:
 # entry point
 
 _PRESETS = {"ligo": LIGO_PRESET}
-# subcommand -> (runner, the arguments it takes after the config and the output directory)
+# subcommand -> (runner, the config section it needs besides the scenario, the arguments it takes
+# after the config and the output directory)
 _COMMANDS = {
-    "field": (run_field, ("format",)),
-    "pressure": (run_pressure, ()),
-    "integrals": (run_integrals, ("format",)),
-    "validate": (validate_integrals, ("format",)),
-    "preset": (run_preset, ("name",)),
+    "field": (run_field, "grid", ("format",)),
+    "pressure": (run_pressure, None, ()),
+    "integrals": (run_integrals, "grid", ("format",)),
+    "validate": (validate_integrals, "sweep", ("format",)),
+    "preset": (run_preset, None, ("name",)),
 }
 
 
@@ -549,7 +548,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Quantum-vacuum corrections for counter-propagating beams",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, arguments) in _COMMANDS.items():
+    for name, (_, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name)
         if "name" in arguments:
             p.add_argument("name", choices=tuple(_PRESETS))
@@ -565,12 +564,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    runner, arguments = _COMMANDS[args.subcommand]
+    runner, section, arguments = _COMMANDS[args.subcommand]
     base = _PRESETS[args.name] if args.subcommand == "preset" else {}
     flags = {key: getattr(args, key) for key in ("mode", "tol") if getattr(args, key) is not None}
     try:
         doc = _load_config(args.config) if args.config else {}
         config = validate_config(_merge(base, doc, flags))
+        if section is not None and section not in config:
+            raise ConfigError(section, f"missing required section for the {args.subcommand} subcommand")
         _, code = runner(config, Path(args.out), *(getattr(args, a) for a in arguments))
         return code
     except (ConfigError, DomainError) as exc:

@@ -84,8 +84,8 @@ def test_field_rerun_from_echoed_config(tmp_path):
         lambda doc: doc.update(mode="sideways"),
         lambda doc: doc.update(tol=0.5),
         lambda doc: doc.update(max_nodes=0),
-        lambda doc: doc.update(max_nodes=8192),  # over MAX_NODES
         lambda doc: doc["grid"].update(rho_count=1001, z_count=1000),  # over MAX_GRID_POINTS
+        lambda doc: doc.update(max_nodes=8192),  # over MAX_NODES
     ],
 )
 def test_invalid_config_exits_2_without_outputs(tmp_path, mutate):

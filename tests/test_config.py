@@ -119,6 +119,10 @@ def _drop(section, *keys):
     return mutate
 
 
+def _without(section, key):
+    return {k: v for k, v in section.items() if k != key}
+
+
 _INT_BELOW = "must be an integer >= 2"
 _MODE = "must be one of ('numeric', 'asymptotic', 'both')"
 _ONE_POWER = "give exactly one of power_w or amplitude_sqrt_w_per_m"
@@ -200,10 +204,6 @@ CASES = [
     (_set("sweep", rho_m=0.0), "sweep.rho_m", "must be positive"),
     (_drop("sweep", "z_m"), "sweep.z_m", "missing required value"),
 ]
-
-
-def _without(section, key):
-    return {k: v for k, v in section.items() if k != key}
 
 
 def _run(tmp_path, capsys, argv, doc=None):

@@ -9,6 +9,7 @@ so a refactor that must keep reports byte-identical can be checked with one comm
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
@@ -39,7 +40,7 @@ SHADOW_SWEEP = {"rho_m": 1e-3, "z_m": 0.0, "k_rho_values": [1e4]}
 
 
 def _with(doc: dict, **changes) -> dict:
-    return {**json.loads(json.dumps(doc)), **changes}
+    return {**copy.deepcopy(doc), **changes}
 
 
 def _scenario(**changes) -> dict:
