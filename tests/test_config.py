@@ -111,10 +111,9 @@ def _set(section, **values):
     return mutate
 
 
-def _drop(section, *keys):
+def _drop(section, key):
     def mutate(doc):
-        for key in keys:
-            del (doc if section is None else doc[section])[key]
+        del (doc if section is None else doc[section])[key]
 
     return mutate
 
